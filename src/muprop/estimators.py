@@ -177,7 +177,9 @@ def _check_stochastic_trace(graph: Graph, trace: Trace) -> list[int]:
     return sids
 
 
-def _collect(graph: Graph, adj: list) -> dict[int, np.ndarray]:
+def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None):
+    """Final sweep: the seeds' gradient at every parameter, zeros if unreached."""
+    adj = backward(graph, trace, seeds, stochastic_vjp, need=graph.param_ids)
     out = {}
     for pid in graph.param_ids:
         g = adj[pid]
@@ -214,15 +216,20 @@ def lr_estimate(
         node_diag[sid] = d
         _add_seed(seeds, node.parents[0], score.reshape(node.shape) * adjusted)
 
-    adj = backward(graph, trace, seeds)
-    return GradientEstimate(_collect(graph, adj), f, node_diag)
+    return GradientEstimate(_param_grads(graph, trace, seeds), f, node_diag)
 
 
 def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
-    """Deterministic relaxation pass plus its full adjoint sweep."""
+    """Deterministic relaxation pass plus the adjoint sweep its readers need.
+
+    The adjoint list holds the cost's derivative at every stochastic node
+    (the Taylor anchor slopes) and at the nodes between them and the cost.
+    Every other entry, parameters and inputs included, is None, apart from
+    the cost's own seed.
+    """
     cost = graph.node_id(cost)
     trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate)
-    adj = backward(graph, trace, {cost: np.ones(())})
+    adj = backward(graph, trace, {cost: np.ones(())}, need=graph.stochastic_ids)
     return trace, adj
 
 
@@ -313,9 +320,8 @@ def muprop_estimate(
         seeds,
         node_diag,
     )
-    adj = backward(graph, st_trace, seeds)
     return GradientEstimate(
-        _collect(graph, adj),
+        _param_grads(graph, st_trace, seeds),
         st_trace.cost_value(cost),
         node_diag,
         mean_field_passes=mf_passes,
@@ -384,7 +390,7 @@ def muprop_rollout_estimate(
             forced=dict(pinned),
             validate=validate,
         )
-        branch_adj = backward(graph, branch, {cost: np.ones(())})
+        branch_adj = backward(graph, branch, {cost: np.ones(())}, need=group)
         _taylor_seeds(
             graph,
             st_trace,
@@ -402,9 +408,8 @@ def muprop_rollout_estimate(
         for sid in group:
             pinned[sid] = st_trace.values[sid]
 
-    adj = backward(graph, st_trace, seeds)
     return GradientEstimate(
-        _collect(graph, adj),
+        _param_grads(graph, st_trace, seeds),
         st_trace.cost_value(cost),
         node_diag,
         mean_field_passes=len(layer_groups),
@@ -425,8 +430,8 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     def vjp(node, logits, value, adjoint):
         return mean_vjp(node, logits, adjoint)
 
-    adj = backward(graph, trace, {cost: np.ones(())}, stochastic_vjp=vjp)
-    return GradientEstimate(_collect(graph, adj), trace.cost_value(cost), {})
+    grads = _param_grads(graph, trace, {cost: np.ones(())}, vjp)
+    return GradientEstimate(grads, trace.cost_value(cost), {})
 
 
 def half_estimate(
@@ -442,7 +447,9 @@ def half_estimate(
     Binary units: adjoint * sigmoid'(l) / (2 * P(x)), per unit. Categorical
     units: [adjoint . (x - xbar)] * (selected Jacobian row) / P(selected), per
     unit, with xbar one of "1/2", "1/k", or "mean". Probabilities are clamped
-    below at `clamp`; clamp events are counted in the diagnostics.
+    below at `clamp`; clamp events are counted in the diagnostics, over the
+    units whose logits are differentiable in some parameter (the only ones
+    the sweep visits).
     """
     cost = graph.node_id(cost)
     _check_stochastic_trace(graph, trace)
@@ -483,9 +490,8 @@ def half_estimate(
             out = coeff * jac_sel / np.maximum(probs, clamp)
         return out.reshape(node.shape)
 
-    adj = backward(graph, trace, {cost: np.ones(())}, stochastic_vjp=vjp)
     return GradientEstimate(
-        _collect(graph, adj),
+        _param_grads(graph, trace, {cost: np.ones(())}, vjp),
         trace.cost_value(cost),
         {},
         extra={"clamped_units": clamped},

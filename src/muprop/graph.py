@@ -11,11 +11,15 @@ input and parameter tensors. `forward` runs in one of two modes:
 `gradients` runs reverse-mode accumulation over a recorded `Trace`. Sampling
 nodes behave as gradient barriers exactly when the trace marks them as drawn
 (or forced); in mean-field traces they differentiate through the mean map.
+`backward(..., need=...)` computes only the adjoints on a differentiable path
+from the requested nodes (activity analysis), so a sweep whose reader looks
+at a few nodes skips the rest of the graph.
 
 Graphs are append-only during construction and treated as immutable afterwards,
-so a built graph can be shared read-only across threads. All values are dense
-float64 arrays; any non-finite entry produced by evaluation is an error, not a
-silent value.
+so a built graph can be shared read-only across threads; the only state a
+built graph gains is its caches (id lists by kind, liveness masks). All values are dense float64
+arrays; any non-finite entry produced by evaluation is an error, not a silent
+value.
 """
 from __future__ import annotations
 
@@ -91,9 +95,6 @@ class Trace:
     rng_seed: int | None
     barriers: frozenset[int]
 
-    def value(self, node_id: int) -> np.ndarray:
-        return self.values[node_id]
-
     def cost_value(self, node_id: int) -> float:
         return float(self.values[node_id])
 
@@ -106,6 +107,9 @@ class Graph:
         self.constants: dict[int, np.ndarray] = {}
         self.meta: dict = {}
         self._names: dict[str, int] = {}
+        # caches of facts about the nodes, cleared whenever a node is appended
+        self._ids: dict[Kind, tuple[int, ...]] = {}
+        self._live: dict[tuple, list[bool]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -122,6 +126,8 @@ class Graph:
             )
         node = Node(nid, kind, op, parents, tuple(shape), name=name, **attrs)
         self.nodes.append(node)
+        self._ids.clear()
+        self._live.clear()
         if name is not None:
             if name in self._names:
                 raise ValueError(f"duplicate node name {name!r}")
@@ -227,11 +233,17 @@ class Graph:
 
     @property
     def param_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind == Kind.PARAMETER]
+        return self._ids_of(Kind.PARAMETER)
 
     @property
     def stochastic_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind == Kind.STOCHASTIC]
+        return self._ids_of(Kind.STOCHASTIC)
+
+    def _ids_of(self, kind: Kind) -> list[int]:
+        ids = self._ids.get(kind)
+        if ids is None:
+            ids = self._ids[kind] = tuple(n.id for n in self.nodes if n.kind == kind)
+        return list(ids)
 
     def layer(self, node: Node | int, logits: np.ndarray):
         """Distribution object for a stochastic node given its logit tensor."""
@@ -241,8 +253,32 @@ class Graph:
             return BernoulliLayer(logits)
         return CategoricalLayer(logits.reshape(-1, node.k))
 
-    def flat_value(self, node: Node, layer_value: np.ndarray) -> np.ndarray:
-        return layer_value.reshape(node.shape)
+    def liveness(self, need, barriers: frozenset, through_barriers: bool) -> list[bool]:
+        """Which nodes a sweep that reads only `need` (ids or names) must visit.
+
+        A node is live iff it is in `need` or one of its parents is live
+        through a differentiable edge. Stop-gradient nodes never pass their
+        adjoint on, and neither do the stochastic nodes in `barriers` unless
+        `through_barriers` (a sweep with a `stochastic_vjp`). Memoized until
+        the next node is appended.
+        """
+        need = tuple(need)
+        key = (need, barriers, through_barriers)
+        live = self._live.get(key)
+        if live is None:
+            need = {self.node_id(i) for i in need}
+            live = [False] * len(self.nodes)
+            for node in self.nodes:
+                if node.id in need:
+                    live[node.id] = True
+                elif node.kind == Kind.STOP_GRADIENT or (
+                    node.id in barriers and not through_barriers
+                ):
+                    continue
+                else:
+                    live[node.id] = any(live[p] for p in node.parents)
+            self._live[key] = live
+        return live
 
     # -- serialization -----------------------------------------------------
 
@@ -530,15 +566,27 @@ def backward(
     trace: Trace,
     seeds: dict[int, np.ndarray],
     stochastic_vjp=None,
+    need=None,
 ) -> list:
-    """Reverse sweep from injected adjoints; returns the full adjoint list.
+    """Reverse sweep from injected adjoints; returns the adjoint list.
 
     `stochastic_vjp(node, logits, value, adj) -> logit_adjoint | None`, when
     given, replaces the barrier behavior at drawn stochastic nodes.
+
+    `need` lists the nodes whose adjoints the caller reads; None means every
+    node. Only live nodes (see `Graph.liveness`) are swept, and an op skips
+    the adjoint of each parent that is not live before computing it, so dead
+    entries stay None (or hold just their seed). Every live adjoint is
+    bitwise the same as in the full sweep: all its contributions come from
+    live nodes, added in the same order.
     """
     n = len(graph.nodes)
     if len(trace.values) != n:
         raise ValueError("trace does not cover the graph")
+    if need is None:
+        live = [True] * n
+    else:
+        live = graph.liveness(need, trace.barriers, stochastic_vjp is not None)
     adj: list = [None] * n
     for sid, sval in seeds.items():
         v = as_tensor(sval)
@@ -551,7 +599,7 @@ def backward(
     with np.errstate(all="ignore"):
         for i in range(n - 1, -1, -1):
             a = adj[i]
-            if a is None:
+            if a is None or not live[i]:
                 continue
             node = graph.nodes[i]
             kind = node.kind
@@ -560,9 +608,12 @@ def backward(
             if kind == Kind.STOP_GRADIENT:
                 continue
             if kind == Kind.COST:
-                acc(node.parents[0], a)
+                if live[node.parents[0]]:
+                    acc(node.parents[0], a)
                 continue
             if kind == Kind.STOCHASTIC:
+                if not live[node.parents[0]]:
+                    continue
                 logits = values[node.parents[0]]
                 if stochastic_vjp is not None and i in trace.barriers:
                     ga = stochastic_vjp(node, logits, values[i], a)
@@ -573,18 +624,46 @@ def backward(
                 else:
                     acc(node.parents[0], mean_vjp(node, logits, a))
                 continue
-            _op_vjp(node, values, a, acc)
+            _op_vjp(node, values, a, acc, live)
     return adj
 
 
-def _op_vjp(node: Node, values, a, acc) -> None:
+def _op_vjp(node: Node, values, a, acc, live) -> None:
+    """Accumulate the op's parent adjoints, computing only those of live parents."""
     op = node.op
     p = node.parents
     if op == "affine":
-        x, w = values[p[0]], values[p[1]]
-        acc(p[0], w.T @ a)
-        acc(p[1], np.outer(a, x))
-        acc(p[2], a)
+        if live[p[0]]:
+            acc(p[0], values[p[1]].T @ a)
+        if live[p[1]]:
+            acc(p[1], np.outer(a, values[p[0]]))
+        if live[p[2]]:
+            acc(p[2], a)
+    elif op == "add":
+        if live[p[0]]:
+            acc(p[0], a)
+        if live[p[1]]:
+            acc(p[1], a)
+    elif op == "sub":
+        if live[p[0]]:
+            acc(p[0], a)
+        if live[p[1]]:
+            acc(p[1], -a)
+    elif op == "mul":
+        if live[p[0]]:
+            acc(p[0], a * values[p[1]])
+        if live[p[1]]:
+            acc(p[1], a * values[p[0]])
+    elif op == "concat":
+        off = 0
+        for q in p:
+            s = values[q].shape
+            width = s[0] if s else 1
+            if live[q]:
+                acc(q, a[off : off + width].reshape(s))
+            off += width
+    elif not live[p[0]]:
+        return  # the remaining ops have one parent
     elif op == "sigmoid":
         y = values[node.id]
         acc(p[0], a * y * (1.0 - y))
@@ -602,15 +681,6 @@ def _op_vjp(node: Node, values, a, acc) -> None:
             acc(p[0], y * (a - np.sum(a * y, axis=-1, keepdims=True)))
     elif op == "softplus":
         acc(p[0], a * sigmoid(values[p[0]]))
-    elif op == "add":
-        acc(p[0], a)
-        acc(p[1], a)
-    elif op == "sub":
-        acc(p[0], a)
-        acc(p[1], -a)
-    elif op == "mul":
-        acc(p[0], a * values[p[1]])
-        acc(p[1], a * values[p[0]])
     elif op == "sum":
         acc(p[0], np.full(values[p[0]].shape, float(a)))
     elif op == "mean":
@@ -623,14 +693,6 @@ def _op_vjp(node: Node, values, a, acc) -> None:
     elif op == "logsumexp":
         x = values[p[0]].reshape(-1, node.k)
         acc(p[0], (softmax(x, axis=-1) * a[:, None]).reshape(values[p[0]].shape))
-    elif op == "concat":
-        off = 0
-        for q in p:
-            s = values[q].shape
-            width = s[0] if s else 1
-            piece = a[off : off + width]
-            acc(q, piece.reshape(s))
-            off += width
     elif op == "slice":
         g = np.zeros(values[p[0]].shape)
         start, stop = node.span
@@ -652,7 +714,7 @@ def gradients(graph: Graph, cost, wrt, trace: Trace) -> dict[int, np.ndarray]:
     if graph.nodes[cost].shape != ():
         raise ValueError(f"cost node {cost} is not scalar")
     wrt = [graph.node_id(w) for w in wrt]
-    adj = backward(graph, trace, {cost: np.ones(())})
+    adj = backward(graph, trace, {cost: np.ones(())}, need=wrt)
     out = {}
     for w in wrt:
         g = adj[w]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .estimators import BaselineState, EstimatorConfig, estimate
+from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
 from .graph import Graph, Kind, Mode, backward, forward
 from .numerics import as_tensor
 
@@ -70,7 +70,9 @@ def exact_expected_cost_and_grad(
     """Exact E[f] and its gradient by summing over the joint support.
 
     Each configuration contributes p * (direct cost paths) + p * f * (score
-    seeds at the logits), both folded into one adjoint sweep per configuration.
+    seeds at the logits), both folded into one adjoint sweep per configuration
+    that computes only the adjoints `wrt` reads; with `wrt=[]` (the expected
+    cost alone) there is no sweep.
     """
     cost = graph.node_id(cost)
     wrt = list(graph.param_ids if wrt is None else (graph.node_id(w) for w in wrt))
@@ -86,6 +88,9 @@ def exact_expected_cost_and_grad(
         f = trace.cost_value(cost)
         total_cost += p * f
         total_p += p
+        n += 1
+        if not wrt:
+            continue
         seeds = {cost: np.full((), p)}
         for sid in graph.stochastic_ids:
             node = graph.nodes[sid]
@@ -94,11 +99,10 @@ def exact_expected_cost_and_grad(
             lp = node.parents[0]
             contrib = p * f * score
             seeds[lp] = seeds[lp] + contrib if lp in seeds else contrib
-        adj = backward(graph, trace, seeds)
+        adj = backward(graph, trace, seeds, need=wrt)
         for w in wrt:
             if adj[w] is not None:
                 grads[w] = grads[w] + adj[w]
-        n += 1
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError(f"configuration probabilities sum to {total_p!r}")
     return EnumerationReport(total_cost, grads, n)
@@ -118,10 +122,14 @@ def estimator_expectation(
     copy of `baselines`, so the expectation is of a single draw from the given
     state. Variance normalization makes the estimate nonlinear in the signal
     and has no single-draw expectation to report, so "vn" is rejected.
+    `muprop`'s mean-field pass does not depend on the configuration, so it
+    runs once and every configuration reuses it.
     """
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
     template = baselines if baselines is not None else BaselineState()
+    idb_input = _default_idb_input(graph, inputs)
+    mf = mean_field_pass(graph, cost, inputs, params) if config.name == "muprop" else None
     total: dict[int, np.ndarray] = {}
     total_p = 0.0
     first = True
@@ -140,7 +148,8 @@ def estimator_expectation(
             rng_seed=None,
             baselines=copy.deepcopy(template),
             forced=cfg,
-            idb_input=_default_idb_input(graph, inputs),
+            idb_input=idb_input,
+            mf=mf,
             validate=first,
         )
         for w, g in est.grads.items():
@@ -179,11 +188,7 @@ def empirical_moments(
     m2: dict[int, np.ndarray] = {}
     idb_input = _default_idb_input(graph, inputs)
     cost_acc = 0.0
-    mf = None
-    if config.name == "muprop":
-        from .estimators import mean_field_pass
-
-        mf = mean_field_pass(graph, cost, inputs, params)
+    mf = mean_field_pass(graph, cost, inputs, params) if config.name == "muprop" else None
     for i in range(n_samples):
         est = estimate(
             config,

@@ -8,6 +8,7 @@ byte-for-byte across machines.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import rng as _rng
 from .data import binarize, load_mnist, split_halves, synthetic_binary, synthetic_multimodal
-from .estimators import BaselineState, EstimatorConfig, estimate, idb_update, mean_field_pass
+from .estimators import BaselineState, EstimatorConfig, estimate, idb_update
 from .models import build_sbn_variational, build_structured_predictor, evaluate_nll, init_params
 
 METRIC_FIELDS = (
@@ -93,7 +94,11 @@ CKPT_MAGIC = b"MPCKPT01"
 
 
 def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
-    """Binary checkpoint: magic, JSON manifest, then float64 little-endian blob."""
+    """Binary checkpoint: magic, JSON manifest, then float64 little-endian blob.
+
+    The bytes go to a temporary file in the same directory that then replaces
+    `path`, so an interrupted save leaves any earlier checkpoint intact.
+    """
     entries = []
     blobs = []
     offset = 0
@@ -103,12 +108,19 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
         blobs.append(a.astype("<f8").tobytes())
         offset += a.size
     manifest = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for b in blobs:
-            fh.write(b)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(manifest)))
+            fh.write(manifest)
+            for b in blobs:
+                fh.write(b)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -232,100 +244,102 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         xbar=cfg.xbar,
     )
     params = init_params(graph, seed=_rng.fold(cfg.seed, 11))
-    id_by_name = {graph.nodes[p].name: p for p in graph.param_ids}
     velocity: dict = {}
     baselines = BaselineState(seed=_rng.fold(cfg.seed, 12))
     writer = MetricsWriter(cfg.out_dir)
-    sop = cfg.task == "structured_prediction"
+    try:
+        sop = cfg.task == "structured_prediction"
 
-    (train, evalset) = _load_data(cfg, epoch_seed=_rng.fold(cfg.seed, 31, 0))
-    n_train = len(train[0])
+        (train, evalset) = _load_data(cfg, epoch_seed=_rng.fold(cfg.seed, 31, 0))
+        n_train = len(train[0])
 
-    def eval_now(step_seed: int) -> float:
-        model = graph
-        return evaluate_nll(model, params, evalset if sop else evalset[0], n_samples=cfg.eval_samples, seed=step_seed)
+        def eval_now(step_seed: int) -> float:
+            return evaluate_nll(graph, params, evalset if sop else evalset[0], n_samples=cfg.eval_samples, seed=step_seed)
 
-    step = 0
-    diverged = False
-    best = (math.inf, -1)
-    nll0 = eval_now(_rng.fold(cfg.seed, 41, 0))
-    writer.row(step=0, epoch=0, train_cost=None, eval_nll=nll0, grad_norm=None, signal_var=None, diverged=False)
-    best = (nll0, 0)
-    t_start = time.perf_counter()
+        step = 0
+        diverged = False
+        best = (math.inf, -1)
+        nll0 = eval_now(_rng.fold(cfg.seed, 41, 0))
+        writer.row(step=0, epoch=0, train_cost=None, eval_nll=nll0, grad_norm=None, signal_var=None, diverged=False)
+        best = (nll0, 0)
+        t_start = time.perf_counter()
 
-    for epoch in range(cfg.epochs):
-        if cfg.dataset == "mnist" and cfg.binarization == "resample" and epoch > 0:
-            (train, _unused) = _load_data(cfg, epoch_seed=_rng.fold(cfg.seed, 31, epoch))
-        order = _rng.stream(cfg.seed, 32, epoch).permutation(n_train)
-        for lo in range(0, n_train, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            acc: dict = {}
-            cost_acc = 0.0
-            sig_acc = []
-            t0 = time.perf_counter()
-            mf = None
-            for i in batch:
-                if sop:
-                    inputs = {"x": train[0][i], "y": train[1][i]}
-                else:
-                    inputs = {"x": train[0][i]}
-                with np.errstate(all="ignore"):  # non-finite is caught below
-                    est = estimate(
-                        est_cfg,
-                        graph,
-                        cost,
-                        inputs,
-                        params,
-                        rng_seed=_rng.fold(cfg.seed, 33, step, int(i)),
-                        baselines=baselines,
-                        idb_input=inputs["x"],
-                        validate=step == 0,
-                    )
-                cost_acc += est.cost
-                for pid, g in est.grads.items():
-                    acc[pid] = acc.get(pid, 0.0) + g
-                if est.node_diag:
-                    raws = [d["signal"] for d in est.node_diag.values()]
-                    sig_acc.append(float(np.mean(raws)))
-                    if "idb" in est_cfg.flags:
-                        bvals = [baselines.b.get(sid, 0.0) for sid in est.node_diag]
-                        centered = float(np.mean(raws) - np.mean(bvals))
-                        idb_update(baselines, inputs["x"], centered, cfg.idb_lr)
-            scale = 1.0 / len(batch)
-            grads = {pid: g * scale for pid, g in acc.items()}
-            batch_cost = cost_acc * scale
-            gnorm = _grad_norm(grads)
-            if not (math.isfinite(batch_cost) and math.isfinite(gnorm)):
-                diverged = True
-                writer.row(step=step + 1, epoch=epoch, train_cost=None, eval_nll=None,
-                           grad_norm=None, signal_var=None, diverged=True)
+        for epoch in range(cfg.epochs):
+            if cfg.dataset == "mnist" and cfg.binarization == "resample" and epoch > 0:
+                (train, _unused) = _load_data(cfg, epoch_seed=_rng.fold(cfg.seed, 31, epoch))
+            order = _rng.stream(cfg.seed, 32, epoch).permutation(n_train)
+            for lo in range(0, n_train, cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                acc: dict = {}
+                cost_acc = 0.0
+                sig_acc = []
+                t0 = time.perf_counter()
+                for i in batch:
+                    if sop:
+                        inputs = {"x": train[0][i], "y": train[1][i]}
+                    else:
+                        inputs = {"x": train[0][i]}
+                    with np.errstate(all="ignore"):  # non-finite is caught below
+                        est = estimate(
+                            est_cfg,
+                            graph,
+                            cost,
+                            inputs,
+                            params,
+                            rng_seed=_rng.fold(cfg.seed, 33, step, int(i)),
+                            baselines=baselines,
+                            idb_input=inputs["x"],
+                            validate=step == 0,
+                        )
+                    cost_acc += est.cost
+                    for pid, g in est.grads.items():
+                        if pid in acc:
+                            np.add(acc[pid], g, out=acc[pid])
+                        else:  # 0.0 + g (so -0.0 reads 0.0), into an array of our own
+                            acc[pid] = np.add(0.0, g, out=np.empty_like(g))
+                    if est.node_diag:
+                        raws = [d["signal"] for d in est.node_diag.values()]
+                        sig_acc.append(float(np.mean(raws)))
+                        if "idb" in est_cfg.flags:
+                            bvals = [baselines.b.get(sid, 0.0) for sid in est.node_diag]
+                            centered = float(np.mean(raws) - np.mean(bvals))
+                            idb_update(baselines, inputs["x"], centered, cfg.idb_lr)
+                scale = 1.0 / len(batch)
+                grads = {pid: g * scale for pid, g in acc.items()}
+                batch_cost = cost_acc * scale
+                gnorm = _grad_norm(grads)
+                if not (math.isfinite(batch_cost) and math.isfinite(gnorm)):
+                    diverged = True
+                    writer.row(step=step + 1, epoch=epoch, train_cost=None, eval_nll=None,
+                               grad_norm=None, signal_var=None, diverged=True)
+                    break
+                named = {graph.nodes[pid].name: g for pid, g in grads.items()}
+                sgd_momentum_step(params, named, velocity, cfg.lr, cfg.momentum)
+                step += 1
+                wall = (time.perf_counter() - t0) * 1000.0
+                if cfg.log_every and step % cfg.log_every == 0:
+                    nll = None
+                    if cfg.eval_every and step % cfg.eval_every == 0:
+                        nll = eval_now(_rng.fold(cfg.seed, 41, step))
+                        if nll < best[0]:
+                            best = (nll, step)
+                    sv = float(np.var(sig_acc)) if len(sig_acc) > 1 else None
+                    writer.row(step=step, epoch=epoch, train_cost=batch_cost, eval_nll=nll,
+                               grad_norm=gnorm, signal_var=sv, diverged=False, wall_ms=wall)
+                if cfg.max_steps and step >= cfg.max_steps:
+                    break
+            if diverged or (cfg.max_steps and step >= cfg.max_steps):
                 break
-            named = {graph.nodes[pid].name: g for pid, g in grads.items()}
-            sgd_momentum_step(params, named, velocity, cfg.lr, cfg.momentum)
-            step += 1
-            wall = (time.perf_counter() - t0) * 1000.0
-            if cfg.log_every and step % cfg.log_every == 0:
-                nll = None
-                if cfg.eval_every and step % cfg.eval_every == 0:
-                    nll = eval_now(_rng.fold(cfg.seed, 41, step))
-                    if nll < best[0]:
-                        best = (nll, step)
-                sv = float(np.var(sig_acc)) if len(sig_acc) > 1 else None
-                writer.row(step=step, epoch=epoch, train_cost=batch_cost, eval_nll=nll,
-                           grad_norm=gnorm, signal_var=sv, diverged=False, wall_ms=wall)
-            if cfg.max_steps and step >= cfg.max_steps:
-                break
-        if diverged or (cfg.max_steps and step >= cfg.max_steps):
-            break
 
-    final_nll = None
-    if not diverged:
-        final_nll = eval_now(_rng.fold(cfg.seed, 42))
-        if final_nll < best[0]:
-            best = (final_nll, step)
-        writer.row(step=step, epoch=cfg.epochs, train_cost=None, eval_nll=final_nll,
-                   grad_norm=None, signal_var=None, diverged=False)
-    writer.close()
+        final_nll = None
+        if not diverged:
+            final_nll = eval_now(_rng.fold(cfg.seed, 42))
+            if final_nll < best[0]:
+                best = (final_nll, step)
+            writer.row(step=step, epoch=cfg.epochs, train_cost=None, eval_nll=final_nll,
+                       grad_norm=None, signal_var=None, diverged=False)
+    finally:
+        writer.close()
 
     tensors = {f"param/{k}": v for k, v in params.items()}
     tensors.update({f"velocity/{k}": v for k, v in velocity.items()})

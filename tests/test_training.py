@@ -82,6 +82,35 @@ def test_checkpoint_corruption_detection(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_save_replaces_the_file_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(3)})
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(path, {"w": np.zeros(3)})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_metrics_files_are_closed_when_training_raises(tmp_path, monkeypatch):
+    def failing_estimate(*args, **kwargs):
+        raise RuntimeError("estimator failed")
+
+    monkeypatch.setattr("muprop.training.estimate", failing_estimate)
+    with pytest.raises(RuntimeError, match="estimator failed") as failure:
+        run_experiment(small_config(tmp_path))
+    # the traceback keeps run_experiment's frame, and so its writer, alive
+    assert failure.tb is not None
+    rows = [json.loads(s) for s in open(tmp_path / "metrics.jsonl")]
+    assert [r["step"] for r in rows] == [0]  # the initial row reached the file
+    assert len(open(tmp_path / "metrics.csv").read().splitlines()) == 2
+
+
 def test_metrics_writer_files_mirror_each_other(tmp_path):
     w = MetricsWriter(str(tmp_path))
     w.row(step=0, epoch=0, train_cost=None, eval_nll=5.0, grad_norm=None,
