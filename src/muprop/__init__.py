@@ -14,8 +14,6 @@ from .estimators import (
     apply_baselines,
     estimate,
     half_estimate,
-    half_estimate_binary,
-    half_estimate_multinomial,
     idb_update,
     lr_estimate,
     mean_field_pass,
@@ -65,8 +63,6 @@ __all__ = [
     "forward",
     "gradients",
     "half_estimate",
-    "half_estimate_binary",
-    "half_estimate_multinomial",
     "idb_update",
     "init_params",
     "load_checkpoint",

@@ -48,15 +48,6 @@ class BernoulliLayer:
             value = self.validate(value)
         return value - self.mean()
 
-    def support_size(self) -> int:
-        return 2 ** self.logits.size
-
-    def enumerate_support(self):
-        n = self.logits.size
-        for code in range(2**n):
-            bits = (code >> np.arange(n)) & 1
-            yield bits.astype(np.float64)
-
 
 @dataclass(frozen=True)
 class CategoricalLayer:
@@ -101,23 +92,3 @@ class CategoricalLayer:
         if not checked:
             value = self.validate(value)
         return value - self.mean()
-
-    def support_size(self) -> int:
-        u, k = self.logits.shape
-        return k**u
-
-    def enumerate_support(self):
-        u, k = self.logits.shape
-        eye = np.eye(k)
-        idx = np.zeros(u, dtype=np.int64)
-        while True:
-            yield eye[idx].copy()
-            pos = 0
-            while pos < u:
-                idx[pos] += 1
-                if idx[pos] < k:
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos == u:
-                return

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, Kind, Mode, Trace, backward, forward, gradients, mean_vjp
+from .graph import Graph, Kind, Mode, Trace, backward, forward, mean_vjp
 from .numerics import as_tensor, sigmoid, softmax
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
@@ -162,6 +162,7 @@ class GradientEstimate:
     mean_field_passes: int = 0
     stochastic_passes: int = 0
     extra: dict = field(default_factory=dict)
+    logprob: float | None = None  # log-probability of the drawn configuration
 
 
 def _add_seed(seeds: dict, nid: int, v: np.ndarray) -> None:
@@ -216,7 +217,9 @@ def lr_estimate(
         node_diag[sid] = d
         _add_seed(seeds, node.parents[0], score.reshape(node.shape) * adjusted)
 
-    return GradientEstimate(_param_grads(graph, trace, seeds), f, node_diag)
+    return GradientEstimate(
+        _param_grads(graph, trace, seeds), f, node_diag, logprob=sum(trace.logprobs.values())
+    )
 
 
 def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
@@ -327,6 +330,7 @@ def muprop_estimate(
         mean_field_passes=mf_passes,
         stochastic_passes=1,
         extra={"mean_field_cost": mf_trace.cost_value(cost)},
+        logprob=sum(st_trace.logprobs.values()),
     )
 
 
@@ -414,6 +418,7 @@ def muprop_rollout_estimate(
         node_diag,
         mean_field_passes=len(layer_groups),
         stochastic_passes=1,
+        logprob=sum(st_trace.logprobs.values()),
     )
 
 
@@ -431,7 +436,7 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
         return mean_vjp(node, logits, adjoint)
 
     grads = _param_grads(graph, trace, {cost: np.ones(())}, vjp)
-    return GradientEstimate(grads, trace.cost_value(cost), {})
+    return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=sum(trace.logprobs.values()))
 
 
 def half_estimate(
@@ -439,7 +444,6 @@ def half_estimate(
     trace: Trace,
     cost,
     xbar: str = "1/k",
-    denominator: str = "selected",
     clamp: float = 1e-12,
 ) -> GradientEstimate:
     """Derivative-at-sample estimator rescaled by outcome probabilities.
@@ -455,8 +459,6 @@ def half_estimate(
     _check_stochastic_trace(graph, trace)
     if xbar not in ("1/2", "1/k", "mean"):
         raise ValueError(f"unknown anchor {xbar!r}")
-    if denominator not in ("selected", "elementwise"):
-        raise ValueError(f"unknown denominator {denominator!r}")
     clamped = 0
 
     def vjp(node, logits, value, adjoint):
@@ -480,41 +482,17 @@ def half_estimate(
         coeff = np.sum(a * (v - anchor), axis=-1, keepdims=True)
         sel_p = np.sum(probs * v, axis=-1, keepdims=True)
         jac_sel = sel_p * (v - probs)  # d P(selected) / d logits, per unit
-        if denominator == "selected":
-            hit = sel_p < clamp
-            clamped += int(np.count_nonzero(hit))
-            out = coeff * jac_sel / np.maximum(sel_p, clamp)
-        else:
-            hit = probs < clamp
-            clamped += int(np.count_nonzero(hit))
-            out = coeff * jac_sel / np.maximum(probs, clamp)
-        return out.reshape(node.shape)
+        hit = sel_p < clamp
+        clamped += int(np.count_nonzero(hit))
+        return (coeff * jac_sel / np.maximum(sel_p, clamp)).reshape(node.shape)
 
     return GradientEstimate(
         _param_grads(graph, trace, {cost: np.ones(())}, vjp),
         trace.cost_value(cost),
         {},
         extra={"clamped_units": clamped},
+        logprob=sum(trace.logprobs.values()),
     )
-
-
-def half_estimate_binary(graph: Graph, trace: Trace, cost, clamp: float = 1e-12):
-    if any(graph.nodes[s].op != "bernoulli" for s in graph.stochastic_ids):
-        raise ValueError("binary variant requires all-Bernoulli stochastic nodes")
-    return half_estimate(graph, trace, cost, clamp=clamp)
-
-
-def half_estimate_multinomial(
-    graph: Graph,
-    trace: Trace,
-    cost,
-    xbar: str = "1/k",
-    denominator: str = "selected",
-    clamp: float = 1e-12,
-):
-    if any(graph.nodes[s].op != "categorical" for s in graph.stochastic_ids):
-        raise ValueError("multinomial variant requires all-categorical nodes")
-    return half_estimate(graph, trace, cost, xbar=xbar, denominator=denominator, clamp=clamp)
 
 
 # -- unified dispatch ----------------------------------------------------------
@@ -525,7 +503,6 @@ class EstimatorConfig:
     name: str
     flags: frozenset = frozenset()
     xbar: str = "1/k"
-    denominator: str = "selected"
 
     def __post_init__(self):
         if self.name not in ESTIMATORS:
@@ -577,8 +554,6 @@ def estimate(
     elif name == "st":
         est = st_estimate(graph, trace, cost)
     else:
-        est = half_estimate(
-            graph, trace, cost, xbar=config.xbar, denominator=config.denominator
-        )
+        est = half_estimate(graph, trace, cost, xbar=config.xbar)
     est.stochastic_passes = 1
     return est

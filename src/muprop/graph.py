@@ -8,6 +8,11 @@ input and parameter tensors. `forward` runs in one of two modes:
 * ``Mode.MEAN_FIELD`` propagates distribution means instead, producing a fully
   differentiable deterministic relaxation of the same network.
 
+Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
+forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
+rule, layer class, mean-map vjp); construction, both forward modes and the
+reverse sweep all read their op's entry.
+
 `gradients` runs reverse-mode accumulation over a recorded `Trace`. Sampling
 nodes behave as gradient barriers exactly when the trace marks them as drawn
 (or forced); in mean-field traces they differentiate through the mean map.
@@ -25,7 +30,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,29 +52,6 @@ class Kind(enum.IntEnum):
 class Mode(enum.Enum):
     STOCHASTIC = "stochastic"
     MEAN_FIELD = "mean_field"
-
-
-DET_OPS = frozenset(
-    {
-        "affine",
-        "sigmoid",
-        "tanh",
-        "softmax",
-        "softplus",
-        "add",
-        "sub",
-        "mul",
-        "sum",
-        "mean",
-        "log",
-        "exp",
-        "logsumexp",
-        "concat",
-        "slice",
-        "square",
-    }
-)
-DIST_TAGS = frozenset({"bernoulli", "categorical"})
 
 
 @dataclass(frozen=True)
@@ -120,10 +103,12 @@ class Graph:
             if not 0 <= p < nid:
                 raise ValueError(f"node {nid}: unknown parent id {p}")
         shape = attrs.pop("shape", None)
-        if kind in (Kind.DETERMINISTIC, Kind.STOCHASTIC, Kind.STOP_GRADIENT, Kind.COST):
-            shape = _infer_shape(
-                kind, op, [self.nodes[p].shape for p in parents], attrs
-            )
+        try:
+            rule = _shape_rule(kind, op)
+            if rule is not None:
+                shape = rule([self.nodes[p].shape for p in parents], attrs)
+        except ValueError as err:
+            raise ValueError(f"node {nid} ({op or kind.name.lower()}): {err}") from None
         node = Node(nid, kind, op, parents, tuple(shape), name=name, **attrs)
         self.nodes.append(node)
         self._ids.clear()
@@ -249,9 +234,8 @@ class Graph:
         """Distribution object for a stochastic node given its logit tensor."""
         if isinstance(node, int):
             node = self.nodes[node]
-        if node.op == "bernoulli":
-            return BernoulliLayer(logits)
-        return CategoricalLayer(logits.reshape(-1, node.k))
+        cls = _SAMPLERS[node.op].layer
+        return cls(logits.reshape(-1, node.k) if node.k else logits)
 
     def liveness(self, need, barriers: frozenset, through_barriers: bool) -> list[bool]:
         """Which nodes a sweep that reads only `need` (ids or names) must visit.
@@ -338,69 +322,207 @@ class Graph:
         return cls.from_dict(json.loads(text))
 
 
-def _infer_shape(kind, op, pshapes, attrs) -> tuple[int, ...]:
-    if kind == Kind.STOP_GRADIENT:
-        (s,) = pshapes
-        return s
-    if kind == Kind.COST:
-        (s,) = pshapes
-        if s != ():
-            raise ValueError(f"cost parent must be scalar, got shape {s}")
-        return s
-    if kind == Kind.STOCHASTIC:
-        (s,) = pshapes
-        if len(s) != 1:
-            raise ValueError(f"{op} logits must be 1-D, got shape {s}")
-        if op == "categorical":
-            k = attrs.get("k")
-            if not k or s[0] % k != 0:
-                raise ValueError(f"categorical width {s[0]} not divisible by k={k}")
-        return s
+# -- op table -------------------------------------------------------------------
+#
+# Every op is described once. Its shape rule maps the parents' shapes and the
+# node's attributes (`k`, `span`) to the output shape and raises ValueError on
+# a bad combination, wrong arity included. A deterministic op (`Op`) also
+# has `forward(node, values)`, its value read off the list of node values,
+# and `vjp(node, values, adjoint, j)`, the adjoint of its j-th parent. A
+# sampling op (`Sampler`) has its layer class and the adjoint through its
+# mean map. Adding an op means one entry here plus one builder method.
 
-    if op == "affine":
-        xs, ws, bs = pshapes
-        if len(ws) != 2 or len(xs) != 1 or len(bs) != 1:
-            raise ValueError(f"affine expects x[n], w[m,n], b[m]; got {pshapes}")
-        if ws[1] != xs[0] or ws[0] != bs[0]:
-            raise ValueError(
-                f"affine shape mismatch: x{xs} w{ws} b{bs}"
-            )
-        return (ws[0],)
-    if op in ("sigmoid", "tanh", "softplus", "square", "log", "exp"):
-        return pshapes[0]
-    if op == "softmax":
-        s = pshapes[0]
-        k = attrs.get("k")
-        if k is not None and (len(s) != 1 or s[0] % k != 0):
-            raise ValueError(f"grouped softmax: shape {s} not divisible by k={k}")
-        return s
-    if op in ("add", "sub", "mul"):
-        a, b = pshapes
-        if a != b:
-            raise ValueError(f"{op}: operand shapes differ, {a} vs {b}")
-        return a
-    if op in ("sum", "mean"):
-        return ()
-    if op == "logsumexp":
-        s = pshapes[0]
-        k = attrs.get("k")
-        if len(s) != 1 or not k or s[0] % k != 0:
-            raise ValueError(f"logsumexp: shape {s} not divisible by k={k}")
-        return (s[0] // k,)
-    if op == "concat":
-        total = 0
-        for s in pshapes:
-            if len(s) > 1:
-                raise ValueError("concat takes scalars and 1-D vectors only")
-            total += s[0] if s else 1
-        return (total,)
-    if op == "slice":
-        (s,) = pshapes
-        start, stop = attrs["span"]
-        if len(s) != 1 or not (0 <= start < stop <= s[0]):
-            raise ValueError(f"slice bounds ({start},{stop}) invalid for shape {s}")
-        return (stop - start,)
-    raise ValueError(f"unknown op {op!r}")
+
+class Op(NamedTuple):
+    shape: Callable[[list, dict], tuple]
+    forward: Callable[[Node, list], np.ndarray]
+    vjp: Callable[[Node, list, np.ndarray, int], np.ndarray]
+
+
+class Sampler(NamedTuple):
+    shape: Callable[[list, dict], tuple]
+    layer: type  # takes the logits, as [units, k] rows when the node has k
+    mean_vjp: Callable[[Node, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _shape_rule(kind: Kind, op):
+    """Shape rule for a node of this kind and op; None for inputs and parameters."""
+    if kind in (Kind.DETERMINISTIC, Kind.STOCHASTIC):
+        table = _OPS if kind == Kind.DETERMINISTIC else _SAMPLERS
+        if op not in table:
+            raise ValueError(f"unknown {kind.name.lower()} op {op!r}")
+        return table[op].shape
+    return {Kind.STOP_GRADIENT: _unary_shape, Kind.COST: _cost_shape}.get(kind)
+
+
+def _unary_shape(pshapes, attrs):
+    (s,) = pshapes
+    return s
+
+
+def _cost_shape(pshapes, attrs):
+    s = _unary_shape(pshapes, attrs)
+    if s != ():
+        raise ValueError(f"cost parent must be scalar, got shape {s}")
+    return s
+
+
+def _binary_shape(pshapes, attrs):
+    a, b = pshapes
+    if a != b:
+        raise ValueError(f"operand shapes differ, {a} vs {b}")
+    return a
+
+
+def _reduce_shape(pshapes, attrs):
+    _unary_shape(pshapes, attrs)
+    return ()
+
+
+def _logits_shape(pshapes, attrs):
+    s = _unary_shape(pshapes, attrs)
+    if len(s) != 1:
+        raise ValueError(f"logits must be 1-D, got shape {s}")
+    return s
+
+
+def _grouped_shape(pshapes, attrs):
+    """A 1-D parent that splits into groups of width `k`; returns its shape."""
+    s = _unary_shape(pshapes, attrs)
+    k = attrs.get("k")
+    if len(s) != 1 or not k or s[0] % k != 0:
+        raise ValueError(f"shape {s} does not split into groups of k={k}")
+    return s
+
+
+def _affine_shape(pshapes, attrs):
+    xs, ws, bs = pshapes
+    if len(ws) != 2 or len(xs) != 1 or len(bs) != 1:
+        raise ValueError(f"expects x[n], w[m,n], b[m]; got {pshapes}")
+    if ws[1] != xs[0] or ws[0] != bs[0]:
+        raise ValueError(f"shape mismatch: x{xs} w{ws} b{bs}")
+    return (ws[0],)
+
+
+def _affine_vjp(node, values, a, j):
+    x, w, _ = node.parents
+    if j == 0:
+        return values[w].T @ a
+    return np.outer(a, values[x]) if j == 1 else a
+
+
+def _softmax_shape(pshapes, attrs):
+    grouped = attrs.get("k") is not None
+    return (_grouped_shape if grouped else _unary_shape)(pshapes, attrs)
+
+
+def _softmax(node, values):
+    x = values[node.parents[0]]
+    if node.k is not None:
+        return softmax(x.reshape(-1, node.k), axis=-1).reshape(node.shape)
+    return softmax(x, axis=-1)
+
+
+def _softmax_vjp(node, values, a, j):
+    y = values[node.id]
+    if node.k is not None:
+        yk, ak = y.reshape(-1, node.k), a.reshape(-1, node.k)
+        return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(node.shape)
+    return y * (a - np.sum(a * y, axis=-1, keepdims=True))
+
+
+def _logsumexp(node, values):
+    x = values[node.parents[0]].reshape(-1, node.k)
+    m = np.max(x, axis=-1)
+    return m + np.log(np.sum(np.exp(x - m[:, None]), axis=-1))
+
+
+def _logsumexp_vjp(node, values, a, j):
+    x = values[node.parents[0]]
+    return (softmax(x.reshape(-1, node.k), axis=-1) * a[:, None]).reshape(x.shape)
+
+
+def _concat_shape(pshapes, attrs):
+    if not pshapes or any(len(s) > 1 for s in pshapes):
+        raise ValueError(f"takes one or more scalars and 1-D vectors; got {pshapes}")
+    return (sum(s[0] if s else 1 for s in pshapes),)
+
+
+def _concat_vjp(node, values, a, j):
+    off = sum(values[q].size for q in node.parents[:j])
+    x = values[node.parents[j]]
+    return a[off : off + x.size].reshape(x.shape)
+
+
+def _slice_shape(pshapes, attrs):
+    s = _unary_shape(pshapes, attrs)
+    start, stop = attrs["span"]
+    if len(s) != 1 or not (0 <= start < stop <= s[0]):
+        raise ValueError(f"bounds ({start},{stop}) invalid for shape {s}")
+    return (stop - start,)
+
+
+def _slice_vjp(node, values, a, j):
+    g = np.zeros(values[node.parents[0]].shape)
+    start, stop = node.span
+    g[start:stop] = a
+    return g
+
+
+def _pass_vjp(node, values, a, j):
+    return a
+
+
+# lambdas name their arguments n(ode), v(alues), a(djoint) and j (parent index)
+_OPS: dict[str, Op] = {
+    "affine": Op(_affine_shape, lambda n, v: v[n.parents[1]] @ v[n.parents[0]] + v[n.parents[2]],
+                 _affine_vjp),
+    "sigmoid": Op(_unary_shape, lambda n, v: sigmoid(v[n.parents[0]]),
+                  lambda n, v, a, j: a * v[n.id] * (1.0 - v[n.id])),
+    "tanh": Op(_unary_shape, lambda n, v: np.tanh(v[n.parents[0]]),
+               lambda n, v, a, j: a * (1.0 - v[n.id] * v[n.id])),
+    "softmax": Op(_softmax_shape, _softmax, _softmax_vjp),
+    "softplus": Op(_unary_shape, lambda n, v: softplus(v[n.parents[0]]),
+                   lambda n, v, a, j: a * sigmoid(v[n.parents[0]])),
+    "add": Op(_binary_shape, lambda n, v: v[n.parents[0]] + v[n.parents[1]], _pass_vjp),
+    "sub": Op(_binary_shape, lambda n, v: v[n.parents[0]] - v[n.parents[1]],
+              lambda n, v, a, j: -a if j else a),
+    "mul": Op(_binary_shape, lambda n, v: v[n.parents[0]] * v[n.parents[1]],
+              lambda n, v, a, j: a * v[n.parents[1 - j]]),
+    "sum": Op(_reduce_shape, lambda n, v: np.asarray(np.sum(v[n.parents[0]])),
+              lambda n, v, a, j: np.full(v[n.parents[0]].shape, float(a))),
+    "mean": Op(_reduce_shape, lambda n, v: np.asarray(np.mean(v[n.parents[0]])),
+               lambda n, v, a, j: np.full(v[n.parents[0]].shape,
+                                          float(a) / max(v[n.parents[0]].size, 1))),
+    "log": Op(_unary_shape, lambda n, v: np.log(v[n.parents[0]]),
+              lambda n, v, a, j: a / v[n.parents[0]]),
+    "exp": Op(_unary_shape, lambda n, v: np.exp(v[n.parents[0]]),
+              lambda n, v, a, j: a * v[n.id]),
+    "logsumexp": Op(lambda s, attrs: (_grouped_shape(s, attrs)[0] // attrs["k"],),
+                    _logsumexp, _logsumexp_vjp),
+    "concat": Op(_concat_shape, lambda n, v: np.concatenate([np.atleast_1d(v[q]) for q in n.parents]),
+                 _concat_vjp),
+    "slice": Op(_slice_shape, lambda n, v: v[n.parents[0]][n.span[0] : n.span[1]], _slice_vjp),
+    "square": Op(_unary_shape, lambda n, v: v[n.parents[0]] * v[n.parents[0]],
+                 lambda n, v, a, j: 2.0 * a * v[n.parents[0]]),
+}
+
+
+def _bernoulli_mean_vjp(node, logits, adj):
+    m = sigmoid(logits)
+    return adj * m * (1.0 - m)
+
+
+def _categorical_mean_vjp(node, logits, adj):
+    probs = softmax(logits.reshape(-1, node.k), axis=-1)
+    a = adj.reshape(-1, node.k)
+    return (probs * (a - np.sum(a * probs, axis=-1, keepdims=True))).reshape(node.shape)
+
+
+_SAMPLERS: dict[str, Sampler] = {
+    "bernoulli": Sampler(_logits_shape, BernoulliLayer, _bernoulli_mean_vjp),
+    "categorical": Sampler(_grouped_shape, CategoricalLayer, _categorical_mean_vjp),
+}
 
 
 # -- forward -----------------------------------------------------------------
@@ -473,7 +595,7 @@ def forward(
                         f"parameter {node.id}: bound shape {v.shape} != {node.shape}"
                     )
             elif k == Kind.DETERMINISTIC:
-                v = _eval_op(node, values)
+                v = _OPS[node.op].forward(node, values)
             elif k == Kind.STOCHASTIC:
                 layer = graph.layer(node, values[node.parents[0]])
                 if node.id in forced:
@@ -501,64 +623,16 @@ def forward(
     return Trace(mode, values, logprobs, rng_seed, frozenset(barriers))
 
 
-def _eval_op(node: Node, values) -> np.ndarray:
-    op = node.op
-    p = node.parents
-    if op == "affine":
-        return values[p[1]] @ values[p[0]] + values[p[2]]
-    if op == "sigmoid":
-        return sigmoid(values[p[0]])
-    if op == "tanh":
-        return np.tanh(values[p[0]])
-    if op == "softmax":
-        x = values[p[0]]
-        if node.k is not None:
-            return softmax(x.reshape(-1, node.k), axis=-1).reshape(node.shape)
-        return softmax(x, axis=-1)
-    if op == "softplus":
-        return softplus(values[p[0]])
-    if op == "add":
-        return values[p[0]] + values[p[1]]
-    if op == "sub":
-        return values[p[0]] - values[p[1]]
-    if op == "mul":
-        return values[p[0]] * values[p[1]]
-    if op == "sum":
-        return np.asarray(np.sum(values[p[0]]))
-    if op == "mean":
-        return np.asarray(np.mean(values[p[0]]))
-    if op == "log":
-        return np.log(values[p[0]])
-    if op == "exp":
-        return np.exp(values[p[0]])
-    if op == "logsumexp":
-        x = values[p[0]].reshape(-1, node.k)
-        m = np.max(x, axis=-1)
-        return m + np.log(np.sum(np.exp(x - m[:, None]), axis=-1))
-    if op == "concat":
-        return np.concatenate([np.atleast_1d(values[q]) for q in p])
-    if op == "slice":
-        start, stop = node.span
-        return values[p[0]][start:stop]
-    if op == "square":
-        x = values[p[0]]
-        return x * x
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- reverse mode --------------------------------------------------------------
 
 
 def mean_vjp(node: Node, logits: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Adjoint through the mean map of a stochastic node, at the given logits."""
-    if node.op == "bernoulli":
-        m = sigmoid(logits)
-        return adj * m * (1.0 - m)
-    probs = softmax(logits.reshape(-1, node.k), axis=-1)
-    a = adj.reshape(-1, node.k)
-    return (probs * (a - np.sum(a * probs, axis=-1, keepdims=True))).reshape(
-        node.shape
-    )
+    return _SAMPLERS[node.op].mean_vjp(node, logits, adj)
+
+
+def _mean_field_vjp(node, values, a, j):
+    return mean_vjp(node, values[node.parents[0]], a)
 
 
 def backward(
@@ -574,7 +648,7 @@ def backward(
     given, replaces the barrier behavior at drawn stochastic nodes.
 
     `need` lists the nodes whose adjoints the caller reads; None means every
-    node. Only live nodes (see `Graph.liveness`) are swept, and an op skips
+    node. Only live nodes (see `Graph.liveness`) are swept, and a node skips
     the adjoint of each parent that is not live before computing it, so dead
     entries stay None (or hold just their seed). Every live adjoint is
     bitwise the same as in the full sweep: all its contributions come from
@@ -592,8 +666,8 @@ def backward(
         v = as_tensor(sval)
         adj[sid] = v if adj[sid] is None else adj[sid] + v
 
-    def acc(j, v):
-        adj[j] = v if adj[j] is None else adj[j] + v
+    def drawn_vjp(node, values, a, j):
+        return stochastic_vjp(node, values[node.parents[0]], values[node.id], a)
 
     values = trace.values
     with np.errstate(all="ignore"):
@@ -603,105 +677,24 @@ def backward(
                 continue
             node = graph.nodes[i]
             kind = node.kind
-            if kind in (Kind.INPUT, Kind.PARAMETER):
-                continue
-            if kind == Kind.STOP_GRADIENT:
-                continue
-            if kind == Kind.COST:
-                if live[node.parents[0]]:
-                    acc(node.parents[0], a)
-                continue
-            if kind == Kind.STOCHASTIC:
-                if not live[node.parents[0]]:
-                    continue
-                logits = values[node.parents[0]]
-                if stochastic_vjp is not None and i in trace.barriers:
-                    ga = stochastic_vjp(node, logits, values[i], a)
-                    if ga is not None:
-                        acc(node.parents[0], ga)
-                elif i in trace.barriers:
-                    pass  # drawn sample: gradient stops here
-                else:
-                    acc(node.parents[0], mean_vjp(node, logits, a))
-                continue
-            _op_vjp(node, values, a, acc, live)
+            if kind == Kind.DETERMINISTIC:
+                vjp = _OPS[node.op].vjp
+            elif kind == Kind.COST:
+                vjp = _pass_vjp
+            elif kind != Kind.STOCHASTIC:
+                continue  # inputs, parameters and stop-gradient nodes pass nothing on
+            elif i not in trace.barriers:
+                vjp = _mean_field_vjp
+            elif stochastic_vjp is not None:
+                vjp = drawn_vjp
+            else:
+                continue  # drawn sample: gradient stops here
+            for j, q in enumerate(node.parents):
+                if live[q]:
+                    g = vjp(node, values, a, j)
+                    if g is not None:
+                        adj[q] = g if adj[q] is None else adj[q] + g
     return adj
-
-
-def _op_vjp(node: Node, values, a, acc, live) -> None:
-    """Accumulate the op's parent adjoints, computing only those of live parents."""
-    op = node.op
-    p = node.parents
-    if op == "affine":
-        if live[p[0]]:
-            acc(p[0], values[p[1]].T @ a)
-        if live[p[1]]:
-            acc(p[1], np.outer(a, values[p[0]]))
-        if live[p[2]]:
-            acc(p[2], a)
-    elif op == "add":
-        if live[p[0]]:
-            acc(p[0], a)
-        if live[p[1]]:
-            acc(p[1], a)
-    elif op == "sub":
-        if live[p[0]]:
-            acc(p[0], a)
-        if live[p[1]]:
-            acc(p[1], -a)
-    elif op == "mul":
-        if live[p[0]]:
-            acc(p[0], a * values[p[1]])
-        if live[p[1]]:
-            acc(p[1], a * values[p[0]])
-    elif op == "concat":
-        off = 0
-        for q in p:
-            s = values[q].shape
-            width = s[0] if s else 1
-            if live[q]:
-                acc(q, a[off : off + width].reshape(s))
-            off += width
-    elif not live[p[0]]:
-        return  # the remaining ops have one parent
-    elif op == "sigmoid":
-        y = values[node.id]
-        acc(p[0], a * y * (1.0 - y))
-    elif op == "tanh":
-        y = values[node.id]
-        acc(p[0], a * (1.0 - y * y))
-    elif op == "softmax":
-        y = values[node.id]
-        if node.k is not None:
-            yk = y.reshape(-1, node.k)
-            ak = a.reshape(-1, node.k)
-            g = yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))
-            acc(p[0], g.reshape(node.shape))
-        else:
-            acc(p[0], y * (a - np.sum(a * y, axis=-1, keepdims=True)))
-    elif op == "softplus":
-        acc(p[0], a * sigmoid(values[p[0]]))
-    elif op == "sum":
-        acc(p[0], np.full(values[p[0]].shape, float(a)))
-    elif op == "mean":
-        x = values[p[0]]
-        acc(p[0], np.full(x.shape, float(a) / max(x.size, 1)))
-    elif op == "log":
-        acc(p[0], a / values[p[0]])
-    elif op == "exp":
-        acc(p[0], a * values[node.id])
-    elif op == "logsumexp":
-        x = values[p[0]].reshape(-1, node.k)
-        acc(p[0], (softmax(x, axis=-1) * a[:, None]).reshape(values[p[0]].shape))
-    elif op == "slice":
-        g = np.zeros(values[p[0]].shape)
-        start, stop = node.span
-        g[start:stop] = a
-        acc(p[0], g)
-    elif op == "square":
-        acc(p[0], 2.0 * a * values[p[0]])
-    else:
-        raise ValueError(f"unknown op {op!r}")
 
 
 def gradients(graph: Graph, cost, wrt, trace: Trace) -> dict[int, np.ndarray]:

@@ -45,20 +45,20 @@ def parse_arch(text: str) -> tuple[ArchToken, ...]:
     return tuple(toks)
 
 
-def _stochastic_layer(g: Graph, h, tok: ArchToken, w, b):
-    logits = g.affine(h, w, b)
-    if tok.k:
-        return g.categorical(logits, k=tok.k)
-    return g.bernoulli(logits)
+def _sample(g: Graph, logits, k: int = 0):
+    """A stochastic layer: categorical over groups of k logits, else Bernoulli."""
+    return g.categorical(logits, k=k) if k else g.bernoulli(logits)
 
 
-def _bernoulli_logp(g: Graph, value, logits):
-    # sum(v * l) - sum(softplus(l)), scalar
-    return g.sub(g.sum(g.mul(value, logits)), g.sum(g.softplus(logits)))
+def _log_prob(g: Graph, value, logits, k: int = 0):
+    """Scalar log-probability of `value` under `_sample(g, logits, k)`.
 
-
-def _categorical_logp(g: Graph, value, logits, k: int):
-    return g.sub(g.sum(g.mul(value, logits)), g.sum(g.logsumexp(logits, k=k)))
+    sum(v * l) minus the log-normalizer: sum(softplus(l)) for Bernoulli
+    units, the sum of per-group logsumexps for categorical ones.
+    """
+    picked = g.sum(g.mul(value, logits))
+    norm = g.logsumexp(logits, k=k) if k else g.softplus(logits)
+    return g.sub(picked, g.sum(norm))
 
 
 def build_structured_predictor(arch: str, m: int = 1) -> Graph:
@@ -95,10 +95,10 @@ def build_structured_predictor(arch: str, m: int = 1) -> Graph:
     for _ in range(m):
         h = x
         for tok, (w, b) in zip(hidden, layer_params):
-            h = _stochastic_layer(g, h, tok, w, b)
+            h = _sample(g, g.affine(h, w, b), tok.k)
         hiddens.append(h)
         ylogits = g.affine(h, w_out, b_out)
-        logps.append(_bernoulli_logp(g, y, ylogits))
+        logps.append(_log_prob(g, y, ylogits))
 
     stack = g.concat(*logps)
     lse = g.sum(g.logsumexp(stack, k=m))
@@ -159,36 +159,26 @@ def build_sbn_variational(arch: str) -> VariationalModel:
         b = g.parameter((tok.width,), f"q_b{li}", init="zeros")
         inference += [w, b]
         logits = g.affine(h, w, b)
-        h = g.categorical(logits, k=tok.k) if tok.k else g.bernoulli(logits)
+        h = _sample(g, logits, tok.k)
         latents.append(h)
-        if tok.k:
-            q_terms.append(_categorical_logp(g, h, logits, tok.k))
-        else:
-            q_terms.append(_bernoulli_logp(g, h, logits))
+        q_terms.append(_log_prob(g, h, logits, tok.k))
         prev_w = tok.width
 
     # generative: prior over the top latent, then top-down conditionals, then x
     top_tok = bottom_up[-1]
     prior = g.parameter((top_tok.width,), "p_prior", init="zeros")
     generative = [prior]
-    if top_tok.k:
-        p_terms = [_categorical_logp(g, latents[-1], prior, top_tok.k)]
-    else:
-        p_terms = [_bernoulli_logp(g, latents[-1], prior)]
+    p_terms = [_log_prob(g, latents[-1], prior, top_tok.k)]
     for li in range(len(bottom_up) - 1, 0, -1):
         above, below = bottom_up[li], bottom_up[li - 1]
         w = g.parameter((below.width, above.width), f"p_w{li}")
         b = g.parameter((below.width,), f"p_b{li}", init="zeros")
         generative += [w, b]
-        logits = g.affine(latents[li], w, b)
-        if below.k:
-            p_terms.append(_categorical_logp(g, latents[li - 1], logits, below.k))
-        else:
-            p_terms.append(_bernoulli_logp(g, latents[li - 1], logits))
+        p_terms.append(_log_prob(g, latents[li - 1], g.affine(latents[li], w, b), below.k))
     w = g.parameter((obs_dim, bottom_up[0].width), "p_w0")
     b = g.parameter((obs_dim,), "p_b0", init="zeros")
     generative += [w, b]
-    p_terms.append(_bernoulli_logp(g, x, g.affine(latents[0], w, b)))
+    p_terms.append(_log_prob(g, x, g.affine(latents[0], w, b)))
 
     total_q = q_terms[0]
     for t in q_terms[1:]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
-from .graph import Graph, Kind, Mode, backward, forward
+from .graph import Graph, Mode, backward, forward
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
@@ -123,7 +123,8 @@ def estimator_expectation(
     state. Variance normalization makes the estimate nonlinear in the signal
     and has no single-draw expectation to report, so "vn" is rejected.
     `muprop`'s mean-field pass does not depend on the configuration, so it
-    runs once and every configuration reuses it.
+    runs once and every configuration reuses it. Each configuration's
+    probability comes from the estimator's own forced stochastic pass.
     """
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
@@ -134,11 +135,6 @@ def estimator_expectation(
     total_p = 0.0
     first = True
     for cfg in enumerate_configs(graph):
-        trace = forward(
-            graph, inputs, params, mode=Mode.STOCHASTIC, forced=cfg, validate=first
-        )
-        p = math.exp(sum(trace.logprobs.values()))
-        total_p += p
         est = estimate(
             config,
             graph,
@@ -152,6 +148,8 @@ def estimator_expectation(
             mf=mf,
             validate=first,
         )
+        p = math.exp(est.logprob)
+        total_p += p
         for w, g in est.grads.items():
             total[w] = total.get(w, 0.0) + p * g
         first = False

@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

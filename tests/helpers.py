@@ -1,5 +1,6 @@
 """Shared test fixtures: canonical graphs, an independent closed-form evaluator
-for Bernoulli chains, and finite-difference utilities.
+for Bernoulli chains, finite-difference utilities, and the environment child
+processes import `muprop` from.
 
 The chain evaluator reimplements the layered estimators with plain numpy and
 no engine calls, so engine results can be checked against a second derivation.
@@ -7,10 +8,25 @@ no engine calls, so engine results can be checked against a second derivation.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
+import muprop
 from muprop import Graph, Mode, forward, gradients
+
+
+def child_env():
+    """Environment in which a child process imports the `muprop` under test.
+
+    The parent directory of the imported package goes first on PYTHONPATH as
+    an absolute path, so the child finds it from any working directory.
+    """
+    src = str(Path(muprop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def sig(z):

@@ -1,6 +1,5 @@
 """Command-line entry points: train, sweep, verify, profiles."""
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -8,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-import muprop
 from muprop.cli import EXTENDED_PROFILES, main
+
+from helpers import child_env
 
 VERIFY_ARGS = ["verify", "--graphs", "1", "--fd-graphs", "0", "--samples", "20"]
 
@@ -118,18 +118,6 @@ def test_bad_arguments_exit_nonzero(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["unknown-command"])
-
-
-def child_env():
-    """Environment in which a child process imports the `muprop` under test.
-
-    The parent directory of the imported package goes first on PYTHONPATH as
-    an absolute path, so the child finds it from any working directory.
-    """
-    src = str(Path(muprop.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def declared_console_script(name):

@@ -5,11 +5,24 @@ import mpmath
 import numpy as np
 import pytest
 
+from muprop import Graph
 from muprop.distributions import BernoulliLayer, CategoricalLayer
 from muprop.numerics import sigmoid
+from muprop.oracle import _support
 from muprop.rng import stream
 
 mpmath.mp.dps = 40
+
+
+def support(layer):
+    """Every value of `layer`, in the oracle's enumeration order."""
+    g = Graph()
+    logits = g.parameter((layer.logits.size,))
+    if isinstance(layer, BernoulliLayer):
+        node = g.nodes[g.bernoulli(logits)]
+    else:
+        node = g.nodes[g.categorical(logits, k=layer.logits.shape[-1])]
+    return [v.reshape(layer.logits.shape) for v in _support(node)]
 
 
 def test_bernoulli_log_prob_reference_values():
@@ -21,7 +34,7 @@ def test_bernoulli_log_prob_reference_values():
     assert got == pytest.approx(want, rel=1e-14)
     # symmetric point: every outcome of n fair units has probability 2^-n
     fair = BernoulliLayer(np.zeros(3))
-    for v in fair.enumerate_support():
+    for v in support(fair):
         assert fair.log_prob(v) == pytest.approx(3 * math.log(0.5), rel=1e-15)
 
 
@@ -61,27 +74,27 @@ def test_scores_have_zero_mean_over_the_support():
     for _ in range(5):
         layer = BernoulliLayer(rng.normal(size=3))
         total = np.zeros(3)
-        for v in layer.enumerate_support():
+        for v in support(layer):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
     for _ in range(5):
         layer = CategoricalLayer(rng.normal(size=(2, 3)))
         total = np.zeros((2, 3))
-        for v in layer.enumerate_support():
+        for v in support(layer):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
 
 
 def test_support_probabilities_sum_to_one():
     layer = BernoulliLayer(np.array([0.7, -0.4, 1.3]))
-    assert layer.support_size() == 8
-    total = sum(math.exp(layer.log_prob(v)) for v in layer.enumerate_support())
+    supp = support(layer)
+    assert len(supp) == 8 and len({v.tobytes() for v in supp}) == 8
+    total = sum(math.exp(layer.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
 
     cat = CategoricalLayer(np.array([[0.2, -1.0, 0.5], [0.0, 0.3, -0.3]]))
-    assert cat.support_size() == 9
-    supp = list(cat.enumerate_support())
-    assert len(supp) == 9
+    supp = support(cat)
+    assert len(supp) == 9 and len({v.tobytes() for v in supp}) == 9
     total = sum(math.exp(cat.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
 

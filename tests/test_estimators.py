@@ -11,8 +11,6 @@ from muprop import (
     estimate,
     forward,
     half_estimate,
-    half_estimate_binary,
-    half_estimate_multinomial,
     idb_update,
     lr_estimate,
     mean_field_pass,
@@ -86,26 +84,13 @@ def test_derivative_rescaled_categorical_hand_value():
     assert est.extra["clamped_units"] == 0
 
 
-def test_half_variant_wrappers_enforce_families():
-    g, th, c = single_unit()
-    tr = forward(g, params={"th": np.zeros(())}, rng_seed=0)
-    half_estimate_binary(g, tr, c)
-    with pytest.raises(ValueError, match="categorical"):
-        half_estimate_multinomial(g, tr, c)
-
-    g2 = Graph()
-    th2 = g2.parameter((2,), "th", init="zeros")
-    h2 = g2.categorical(th2, k=2)
-    c2 = g2.cost(g2.sum(h2))
-    tr2 = forward(g2, params={"th": np.zeros(2)}, rng_seed=0)
-    half_estimate_multinomial(g2, tr2, c2)
-    with pytest.raises(ValueError, match="Bernoulli"):
-        half_estimate_binary(g2, tr2, c2)
+def test_half_rejects_unknown_anchor():
+    g = Graph()
+    th = g.parameter((2,), "th", init="zeros")
+    c = g.cost(g.sum(g.categorical(th, k=2)))
+    tr = forward(g, params={"th": np.zeros(2)}, rng_seed=0)
     with pytest.raises(ValueError, match="anchor"):
-        half_estimate(g2, tr2, c2, xbar="1/3")
-    with pytest.raises(ValueError, match="denominator"):
-        half_estimate(g2, tr2, c2, denominator="both")
-    del th2
+        half_estimate(g, tr, c, xbar="1/3")
 
 
 def test_half_clamp_diagnostics_count_rare_outcomes():

@@ -1,8 +1,11 @@
 """Graph construction, evaluation modes, adjoint sweeps, serialization."""
+import json
+
 import numpy as np
 import pytest
 
 from muprop import Graph, Kind, Mode, backward, forward, gradients, mean_vjp
+from muprop.graph import _OPS
 from muprop.numerics import sigmoid, softmax
 
 from helpers import det_graph, mf_fd_max_err
@@ -199,3 +202,74 @@ def test_kind_partitions():
     assert g.param_ids == [th]
     assert g.stochastic_ids == [h]
     assert x in g.input_ids
+
+
+def test_loading_rejects_unknown_ops():
+    g = Graph()
+    th = g.parameter((2,), "th")
+    g.cost(g.sum(g.bernoulli(g.tanh(th))))
+    for kind, op in (("DETERMINISTIC", "erf"), ("STOCHASTIC", "poisson")):
+        data = g.to_dict()
+        node = next(d for d in data["nodes"] if d["kind"] == kind)
+        node["op"] = op
+        with pytest.raises(ValueError, match=f"unknown {kind.lower()} op '{op}'"):
+            Graph.from_json(json.dumps(data))
+
+
+# One case per op-table entry, plus grouped softmax ("softmax:k"):
+# (parent shapes, attributes, parent shapes the op's shape rule rejects).
+OP_CASES = {
+    "affine": ([(3,), (2, 3), (2,)], {}, [(3,), (2, 2), (2,)]),
+    "sigmoid": ([(3,)], {}, [(3,), (3,)]),
+    "tanh": ([(3,)], {}, [(3,), (3,)]),
+    "softmax": ([(4,)], {}, [(4,), (4,)]),
+    "softplus": ([(3,)], {}, [(3,), (3,)]),
+    "add": ([(3,), (3,)], {}, [(3,), (2,)]),
+    "sub": ([(3,), (3,)], {}, [(3,), (2,)]),
+    "mul": ([(3,), (3,)], {}, [(3,), (2,)]),
+    "sum": ([(3,)], {}, [(3,), (3,)]),
+    "mean": ([(3,)], {}, [(3,), (3,)]),
+    "log": ([(3,)], {}, [(3,), (3,)]),
+    "exp": ([(3,)], {}, [(3,), (3,)]),
+    "logsumexp": ([(6,)], {"k": 3}, [(5,)]),
+    "concat": ([(2,), (), (3,)], {}, [(2,), (2, 2)]),
+    "slice": ([(5,)], {"span": (1, 4)}, [(3,)]),
+    "square": ([(3,)], {}, [(3,), (3,)]),
+    "softmax:k": ([(6,)], {"k": 3}, [(5,)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPS) + ["softmax:k"])
+def test_every_op_vjp_matches_central_differences(case):
+    """Each parent's vjp against central differences of <adjoint, output>."""
+    assert case in OP_CASES, f"op {case!r} has no case in OP_CASES"
+    pshapes, attrs, bad = OP_CASES[case]
+    op = case.split(":")[0]
+    with pytest.raises(ValueError):
+        _OPS[op].shape(bad, attrs)
+    rng = np.random.default_rng(len(op))
+    g = Graph()
+    parents = [g.input(s) for s in pshapes]
+    out = g._add(Kind.DETERMINISTIC, op, parents, **attrs)
+    # positive operands keep `log` defined
+    inputs = {p: rng.uniform(0.5, 1.5, s) for p, s in zip(parents, pshapes)}
+    adjoint = rng.normal(size=g.nodes[out].shape)
+    trace = forward(g, inputs, mode=Mode.MEAN_FIELD)
+    adj = backward(g, trace, {out: adjoint})
+
+    def objective():
+        return float(np.sum(adjoint * forward(g, inputs, mode=Mode.MEAN_FIELD).values[out]))
+
+    step = 1e-6
+    for p in parents:
+        x = inputs[p]
+        assert adj[p].shape == x.shape, (op, p)
+        fd = np.zeros(x.shape)
+        for idx in np.ndindex(x.shape):
+            orig = x[idx]
+            x[idx] = orig + step
+            up = objective()
+            x[idx] = orig - step
+            fd[idx] = (up - objective()) / (2 * step)
+            x[idx] = orig
+        assert np.allclose(adj[p], fd, rtol=1e-6, atol=1e-8), (op, p, adj[p], fd)

@@ -10,7 +10,11 @@ from muprop import (
     estimator_expectation,
     exact_expected_cost_and_grad,
     finite_difference_check,
+    stochastic_layers,
 )
+from muprop import estimators as estimators_mod
+from muprop import graph as graph_mod
+from muprop import oracle as oracle_mod
 from muprop.estimators import BaselineState
 from muprop.oracle import (
     MAX_CONFIGS,
@@ -107,6 +111,25 @@ def test_variance_normalization_has_no_expectation():
         estimator_expectation(
             EstimatorConfig("lr", flags={"vn"}), g, c, params={"th": np.zeros(())}
         )
+
+
+@pytest.mark.parametrize("name,passes", [("lr", 64), ("st", 64), ("half", 64),
+                                         ("muprop", 65), ("muprop_rollout", 192)])
+def test_estimator_expectation_runs_one_forced_pass_per_configuration(name, passes, monkeypatch):
+    """64 configurations: one forced pass each, plus muprop's shared mean-field
+    pass, or rollout's two per-layer anchor passes per configuration."""
+    fam = sample_family(9)
+    assert config_count(fam.graph) == 64 and len(stochastic_layers(fam.graph)) == 2
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return graph_mod.forward(*args, **kwargs)
+
+    for mod in (estimators_mod, oracle_mod):
+        monkeypatch.setattr(mod, "forward", counting)
+    estimator_expectation(EstimatorConfig(name), fam.graph, fam.cost, fam.inputs, fam.params)
+    assert len(calls) == passes
 
 
 def test_empirical_moments_match_two_pass_statistics():
