@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .estimators import EstimatorConfig, ESTIMATORS
+from .estimators import ESTIMATORS, SCORE_ESTIMATORS, EstimatorConfig
 from .oracle import (
     empirical_moments,
     estimator_expectation,
@@ -117,14 +117,13 @@ def cmd_train(args) -> int:
 
 def cmd_verify(args) -> int:
     """Check estimator expectations against enumeration on random graphs."""
-    unbiased = ("lr", "muprop", "muprop_rollout")
-    worst = {name: 0.0 for name in unbiased}
-    bias = {"st": 0.0, "half": 0.0}
+    worst = {name: 0.0 for name in SCORE_ESTIMATORS}
+    bias = {name: 0.0 for name in ESTIMATORS if name not in SCORE_ESTIMATORS}
     fd_worst = 0.0
     for i in range(args.graphs):
         fam = sample_family(args.seed + i)
         exact = exact_expected_cost_and_grad(fam.graph, fam.cost, fam.inputs, fam.params)
-        for name in unbiased:
+        for name in SCORE_ESTIMATORS:
             got = estimator_expectation(EstimatorConfig(name), fam.graph, fam.cost, fam.inputs, fam.params)
             worst[name] = max(worst[name], grad_relative_error(got, exact.grads))
         for name in bias:

@@ -15,6 +15,10 @@ parameter set. Four families are implemented:
 * `half_estimate` - derivative at the sample rescaled by the sampled outcome's
   probability; exact on single-unit binary quadratics, biased in general.
 
+The three score-function estimators run one loop, `_score_estimate`, and
+differ only in their anchors: none (`lr`), one mean-field pass (`muprop`),
+or one pinned pass per layer (`muprop_rollout`).
+
 Baselines never change what the estimators report as the raw learning signal;
 diagnostics always carry the pre-baseline value.
 """
@@ -31,6 +35,9 @@ from .numerics import as_tensor, sigmoid, softmax
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
 ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
+# the score-function estimators: the only ones with a learning signal, so the
+# only ones that take baseline flags
+SCORE_ESTIMATORS = ("lr", "muprop", "muprop_rollout")
 
 
 # -- variance-reduction state --------------------------------------------------
@@ -60,7 +67,9 @@ class IdbNet:
         pred = float(self.w2 @ t + self.b2)
         dpred = -2.0 * (target - pred)
         dz = dpred * self.w2 * (1.0 - t * t)
-        self.w1 -= lr * np.outer(dz, x)
+        step = np.outer(dz, x)
+        step *= lr
+        self.w1 -= step
         self.b1 -= lr * dz
         self.w2 -= lr * dpred * t
         self.b2 -= lr * dpred
@@ -73,11 +82,13 @@ class BaselineState:
 
     `b` tracks the moving mean of each node's raw signal, `v` the moving mean
     of the centered signal's square. Both update after each use with the
-    configured decay; a fresh state divides by max(1, sqrt(0)) = 1.
+    configured decay; a fresh state divides by max(1, sqrt(0)) = 1. The
+    estimators train `idb` once per draw, at learning rate `idb_lr`.
     """
 
     decay: float = 0.9
     idb_hidden: int = 100
+    idb_lr: float = 0.01
     seed: int = 0
     b: dict[int, float] = field(default_factory=dict)
     v: dict[int, float] = field(default_factory=dict)
@@ -169,13 +180,12 @@ def _add_seed(seeds: dict, nid: int, v: np.ndarray) -> None:
     seeds[nid] = v if nid not in seeds else seeds[nid] + v
 
 
-def _check_stochastic_trace(graph: Graph, trace: Trace) -> list[int]:
+def _check_stochastic_trace(graph: Graph, trace: Trace) -> None:
     sids = graph.stochastic_ids
     if not sids:
         raise ValueError("graph has no stochastic nodes")
     if trace.mode != Mode.STOCHASTIC or any(s not in trace.barriers for s in sids):
         raise ValueError("estimator needs a trace with every stochastic node drawn")
-    return sids
 
 
 def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None):
@@ -186,6 +196,61 @@ def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None):
         g = adj[pid]
         out[pid] = as_tensor(g) if g is not None else np.zeros(graph.nodes[pid].shape)
     return out
+
+
+def _score_estimate(
+    graph: Graph,
+    trace: Trace,
+    cost: int,
+    groups,
+    baselines: BaselineState | None,
+    flags,
+    idb_input: np.ndarray | None,
+    **fields,
+) -> GradientEstimate:
+    """The score-function loop shared by `lr`, `muprop` and `muprop_rollout`.
+
+    `groups` yields `(stochastic node ids, anchor)` pairs. With no anchor a
+    node's learning signal is the cost (`lr`). An anchor `(values, adjoints,
+    cost)` of a mean-field pass makes it MuProp: the signal is the residual
+    f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i), and the linear term comes
+    back through the mean map. Each signal goes through `apply_baselines`;
+    after the last one, the idb net (flag "idb") takes one regression step
+    toward the mean raw signal minus the mean updated moving baseline.
+    """
+    _check_stochastic_trace(graph, trace)
+    state = baselines if baselines is not None else BaselineState()
+    f = trace.cost_value(cost)
+    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
+    node_diag: dict[int, dict] = {}
+    for sids, anchor in groups:
+        for sid in sids:
+            node = graph.nodes[sid]
+            lp = node.parents[0]
+            layer = graph.layer(node, trace.values[lp])
+            x = trace.values[sid]
+            score = layer.score(x.reshape(layer.logits.shape), checked=True).reshape(node.shape)
+            if anchor is None:
+                signal, d = f, {}
+            else:
+                values, adj, anchor_cost = anchor
+                gbar = np.zeros(node.shape) if adj[sid] is None else as_tensor(adj[sid])
+                signal = f - anchor_cost - float(np.dot(gbar.ravel(), (x - values[sid]).ravel()))
+                d = {"residual": signal, "anchor_cost": anchor_cost}
+            adjusted = apply_baselines(signal, sid, state, flags, idb_input, diag=d)
+            node_diag[sid] = d
+            seed = score * adjusted
+            if anchor is not None:
+                seed = seed + mean_vjp(node, trace.values[lp], gbar)
+            _add_seed(seeds, lp, seed)
+    if "idb" in flags:
+        raws = [d["signal"] for d in node_diag.values()]
+        target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
+        idb_update(state, idb_input, target, state.idb_lr)
+    return GradientEstimate(
+        _param_grads(graph, trace, seeds), f, node_diag,
+        logprob=sum(trace.logprobs.values()), **fields,
+    )
 
 
 def lr_estimate(
@@ -202,24 +267,8 @@ def lr_estimate(
     a sample) is included via the ordinary reverse sweep.
     """
     cost = graph.node_id(cost)
-    sids = _check_stochastic_trace(graph, trace)
-    state = baselines if baselines is not None else BaselineState()
-    f = trace.cost_value(cost)
-
-    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
-    node_diag: dict[int, dict] = {}
-    for sid in sids:
-        node = graph.nodes[sid]
-        layer = graph.layer(node, trace.values[node.parents[0]])
-        score = layer.score(trace.values[sid].reshape(layer.logits.shape), checked=True)
-        d: dict = {}
-        adjusted = apply_baselines(f, sid, state, flags, idb_input, diag=d)
-        node_diag[sid] = d
-        _add_seed(seeds, node.parents[0], score.reshape(node.shape) * adjusted)
-
-    return GradientEstimate(
-        _param_grads(graph, trace, seeds), f, node_diag, logprob=sum(trace.logprobs.values())
-    )
+    groups = [(graph.stochastic_ids, None)]
+    return _score_estimate(graph, trace, cost, groups, baselines, flags, idb_input)
 
 
 def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
@@ -234,38 +283,6 @@ def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
     trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate)
     adj = backward(graph, trace, {cost: np.ones(())}, need=graph.stochastic_ids)
     return trace, adj
-
-
-def _taylor_seeds(
-    graph,
-    st_trace,
-    cost,
-    anchor_values,
-    anchor_adj,
-    anchor_cost,
-    node_ids,
-    state,
-    flags,
-    idb_input,
-    seeds,
-    node_diag,
-):
-    """Score seeds for the Taylor-residual signal plus the mean-map add-back."""
-    f = st_trace.cost_value(cost)
-    for sid in node_ids:
-        node = graph.nodes[sid]
-        lp = node.parents[0]
-        layer = graph.layer(node, st_trace.values[lp])
-        x = st_trace.values[sid]
-        xbar = anchor_values[sid]
-        gbar = anchor_adj[sid]
-        gbar = np.zeros(node.shape) if gbar is None else as_tensor(gbar)
-        residual = f - anchor_cost - float(np.dot(gbar.ravel(), (x - xbar).ravel()))
-        d: dict = {"residual": residual, "anchor_cost": anchor_cost}
-        adjusted = apply_baselines(residual, sid, state, flags, idb_input, diag=d)
-        node_diag[sid] = d
-        score = layer.score(x.reshape(layer.logits.shape), checked=True).reshape(node.shape)
-        _add_seed(seeds, lp, score * adjusted + mean_vjp(node, st_trace.values[lp], gbar))
 
 
 def muprop_estimate(
@@ -295,42 +312,13 @@ def muprop_estimate(
         mf = mean_field_pass(graph, cost, inputs, params, validate=validate)
         mf_passes = 1
     mf_trace, mf_adj = mf
-    st_trace = forward(
-        graph,
-        inputs,
-        params,
-        mode=Mode.STOCHASTIC,
-        rng_seed=rng_seed,
-        forced=forced,
-        validate=validate,
-    )
-    sids = _check_stochastic_trace(graph, st_trace)
-    state = baselines if baselines is not None else BaselineState()
-
-    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
-    node_diag: dict[int, dict] = {}
-    _taylor_seeds(
-        graph,
-        st_trace,
-        cost,
-        mf_trace.values,
-        mf_adj,
-        mf_trace.cost_value(cost),
-        sids,
-        state,
-        flags,
-        idb_input,
-        seeds,
-        node_diag,
-    )
-    return GradientEstimate(
-        _param_grads(graph, st_trace, seeds),
-        st_trace.cost_value(cost),
-        node_diag,
-        mean_field_passes=mf_passes,
-        stochastic_passes=1,
-        extra={"mean_field_cost": mf_trace.cost_value(cost)},
-        logprob=sum(st_trace.logprobs.values()),
+    st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
+                       forced=forced, validate=validate)
+    mf_cost = mf_trace.cost_value(cost)
+    groups = [(graph.stochastic_ids, (mf_trace.values, mf_adj, mf_cost))]
+    return _score_estimate(
+        graph, st_trace, cost, groups, baselines, flags, idb_input,
+        mean_field_passes=mf_passes, stochastic_passes=1, extra={"mean_field_cost": mf_cost},
     )
 
 
@@ -364,61 +352,29 @@ def muprop_rollout_estimate(
     The anchor for layer L comes from a partial deterministic pass whose trunk
     is pinned to the sampled values of all earlier layers, so each layer is
     linearized around the mean given its actual sampled parents. One partial
-    pass per layer; identical to `muprop_estimate` on single-layer graphs.
+    pass per layer, run only when its layer is reached; identical to
+    `muprop_estimate` on single-layer graphs.
     """
     cost = graph.node_id(cost)
     layer_groups = stochastic_layers(graph)
     if not layer_groups:
         raise ValueError("graph has no stochastic nodes")
+    st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
+                       forced=forced, validate=validate)
 
-    st_trace = forward(
-        graph,
-        inputs,
-        params,
-        mode=Mode.STOCHASTIC,
-        rng_seed=rng_seed,
-        forced=forced,
-        validate=validate,
-    )
-    state = baselines if baselines is not None else BaselineState()
+    def groups():
+        pinned: dict[int, np.ndarray] = {}
+        for group in layer_groups:
+            branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, forced=dict(pinned),
+                             validate=validate)
+            adj = backward(graph, branch, {cost: np.ones(())}, need=group)
+            yield group, (branch.values, adj, branch.cost_value(cost))
+            for sid in group:
+                pinned[sid] = st_trace.values[sid]
 
-    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
-    node_diag: dict[int, dict] = {}
-    pinned: dict[int, np.ndarray] = {}
-    for group in layer_groups:
-        branch = forward(
-            graph,
-            inputs,
-            params,
-            mode=Mode.MEAN_FIELD,
-            forced=dict(pinned),
-            validate=validate,
-        )
-        branch_adj = backward(graph, branch, {cost: np.ones(())}, need=group)
-        _taylor_seeds(
-            graph,
-            st_trace,
-            cost,
-            branch.values,
-            branch_adj,
-            branch.cost_value(cost),
-            group,
-            state,
-            flags,
-            idb_input,
-            seeds,
-            node_diag,
-        )
-        for sid in group:
-            pinned[sid] = st_trace.values[sid]
-
-    return GradientEstimate(
-        _param_grads(graph, st_trace, seeds),
-        st_trace.cost_value(cost),
-        node_diag,
-        mean_field_passes=len(layer_groups),
-        stochastic_passes=1,
-        logprob=sum(st_trace.logprobs.values()),
+    return _score_estimate(
+        graph, st_trace, cost, groups(), baselines, flags, idb_input,
+        mean_field_passes=len(layer_groups), stochastic_passes=1,
     )
 
 
@@ -511,7 +467,7 @@ class EstimatorConfig:
         bad = self.flags - VALID_FLAGS
         if bad:
             raise ValueError(f"unknown baseline flags {sorted(bad)}")
-        if self.name in ("st", "half") and self.flags:
+        if self.name not in SCORE_ESTIMATORS and self.flags:
             raise ValueError(f"{self.name} takes no baseline flags")
 
 
@@ -540,15 +496,8 @@ def estimate(
             graph, cost, inputs, params, rng_seed, baselines, config.flags,
             forced=forced, idb_input=idb_input, validate=validate,
         )
-    trace = forward(
-        graph,
-        inputs,
-        params,
-        mode=Mode.STOCHASTIC,
-        rng_seed=rng_seed,
-        forced=forced,
-        validate=validate,
-    )
+    trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
+                    forced=forced, validate=validate)
     if name == "lr":
         est = lr_estimate(graph, trace, cost, baselines, config.flags, idb_input)
     elif name == "st":

@@ -75,7 +75,6 @@ class Trace:
     mode: Mode
     values: list[np.ndarray]
     logprobs: dict[int, float]
-    rng_seed: int | None
     barriers: frozenset[int]
 
     def cost_value(self, node_id: int) -> float:
@@ -620,7 +619,7 @@ def forward(
                 raise ValueError(f"non-finite value produced at node {node.id}")
             values[node.id] = v
 
-    return Trace(mode, values, logprobs, rng_seed, frozenset(barriers))
+    return Trace(mode, values, logprobs, frozenset(barriers))
 
 
 # -- reverse mode --------------------------------------------------------------

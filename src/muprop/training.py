@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng as _rng
 from .data import binarize, load_mnist, split_halves, synthetic_binary, synthetic_multimodal
-from .estimators import BaselineState, EstimatorConfig, estimate, idb_update
+from .estimators import SCORE_ESTIMATORS, BaselineState, EstimatorConfig, estimate
 from .models import build_sbn_variational, build_structured_predictor, evaluate_nll, init_params
 
 METRIC_FIELDS = (
@@ -240,12 +240,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     graph, cost = _build_task(cfg)
     est_cfg = EstimatorConfig(
         cfg.estimator,
-        flags=frozenset(cfg.flags) if cfg.estimator in ("lr", "muprop", "muprop_rollout") else frozenset(),
+        flags=frozenset(cfg.flags) if cfg.estimator in SCORE_ESTIMATORS else frozenset(),
         xbar=cfg.xbar,
     )
     params = init_params(graph, seed=_rng.fold(cfg.seed, 11))
     velocity: dict = {}
-    baselines = BaselineState(seed=_rng.fold(cfg.seed, 12))
+    baselines = BaselineState(seed=_rng.fold(cfg.seed, 12), idb_lr=cfg.idb_lr)
     writer = MetricsWriter(cfg.out_dir)
     try:
         sop = cfg.task == "structured_prediction"
@@ -298,12 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         else:  # 0.0 + g (so -0.0 reads 0.0), into an array of our own
                             acc[pid] = np.add(0.0, g, out=np.empty_like(g))
                     if est.node_diag:
-                        raws = [d["signal"] for d in est.node_diag.values()]
-                        sig_acc.append(float(np.mean(raws)))
-                        if "idb" in est_cfg.flags:
-                            bvals = [baselines.b.get(sid, 0.0) for sid in est.node_diag]
-                            centered = float(np.mean(raws) - np.mean(bvals))
-                            idb_update(baselines, inputs["x"], centered, cfg.idb_lr)
+                        sig_acc.append(float(np.mean([d["signal"] for d in est.node_diag.values()])))
                 scale = 1.0 / len(batch)
                 grads = {pid: g * scale for pid, g in acc.items()}
                 batch_cost = cost_acc * scale

@@ -8,10 +8,12 @@ from muprop import (
     Graph,
     Mode,
     apply_baselines,
+    build_structured_predictor,
     estimate,
     forward,
     half_estimate,
     idb_update,
+    init_params,
     lr_estimate,
     mean_field_pass,
     muprop_estimate,
@@ -190,12 +192,21 @@ def test_layer_grouping_by_sampling_depth():
 
 
 def test_rollout_equals_single_anchor_on_one_layer():
-    g, th, c = single_unit(power=3)
-    for seed in range(5):
-        a = muprop_estimate(g, c, None, {"th": np.asarray(0.4)}, seed)
-        b = muprop_rollout_estimate(g, c, None, {"th": np.asarray(0.4)}, seed)
-        assert a.grads[th] == pytest.approx(b.grads[th], abs=1e-15)
-    assert b.mean_field_passes == 1
+    g, _th, c = single_unit(power=3)
+    sop = build_structured_predictor("8-4-8")  # one layer of four units
+    gen = stream(3)
+    xy = {"x": gen.integers(0, 2, 8) * 1.0, "y": gen.integers(0, 2, 8) * 1.0}
+    cases = [(g, c, None, {"th": np.asarray(0.4)}),
+             (sop, sop.meta["cost"], xy, init_params(sop, seed=1))]
+    for graph, cost, inputs, params in cases:
+        for seed in range(5):
+            a = muprop_estimate(graph, cost, inputs, params, seed)
+            b = muprop_rollout_estimate(graph, cost, inputs, params, seed)
+            assert a.grads.keys() == b.grads.keys()
+            for pid in a.grads:
+                assert np.array_equal(a.grads[pid], b.grads[pid]), pid
+            assert a.cost == b.cost and a.node_diag == b.node_diag
+        assert b.mean_field_passes == 1
 
 
 def test_rollout_pass_counts_and_depth_anchoring():

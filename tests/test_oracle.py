@@ -15,7 +15,7 @@ from muprop import (
 from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
-from muprop.estimators import BaselineState
+from muprop.estimators import BaselineState, IdbNet
 from muprop.oracle import (
     MAX_CONFIGS,
     config_count,
@@ -103,6 +103,21 @@ def test_constant_baseline_leaves_expectation_unchanged():
     assert with_b[th] == pytest.approx(plain[th], abs=1e-15)
     # the template state is copied per configuration, never mutated
     assert warm.b[g.stochastic_ids[0]] == 0.37
+
+
+def test_moments_train_the_input_dependent_baseline():
+    # the state evolves across draws as in training, idb net included
+    fam = sample_family(9)
+    config = EstimatorConfig("lr", flags=("c", "idb"))
+    bl = BaselineState(seed=5)
+    empirical_moments(config, fam.graph, fam.cost, fam.inputs, fam.params,
+                      n_samples=5, seed=0, baselines=bl)
+    untrained = IdbNet(fam.inputs["x"].size, bl.idb_hidden, bl.seed)
+    assert not np.array_equal(bl.idb.w1, untrained.w1)
+    # while an expectation trains only its per-configuration copies
+    trained = bl.idb.w1.copy()
+    estimator_expectation(config, fam.graph, fam.cost, fam.inputs, fam.params, baselines=bl)
+    assert np.array_equal(bl.idb.w1, trained)
 
 
 def test_variance_normalization_has_no_expectation():
