@@ -38,6 +38,8 @@ ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
 # the score-function estimators: the only ones with a learning signal, so the
 # only ones that take baseline flags
 SCORE_ESTIMATORS = ("lr", "muprop", "muprop_rollout")
+# `half` clamps outcome probabilities below at this value
+HALF_CLAMP = 1e-12
 
 
 # -- variance-reduction state --------------------------------------------------
@@ -105,14 +107,15 @@ def apply_baselines(
     node_id: int,
     state: BaselineState,
     flags,
-    input_sample: np.ndarray | None = None,
+    idb_pred: float | None = None,
     diag: dict | None = None,
 ) -> float:
     """Center/normalize a learning signal and update the moving statistics.
 
-    Order: subtract the moving mean (flag "c"), subtract the input-dependent
-    prediction (flag "idb"), then divide by max(1, sqrt(v)) (flag "vn", always
-    last). Statistics update after the signal is adjusted.
+    Order: subtract the moving mean (flag "c"), subtract `idb_pred`, the idb
+    net's prediction for the draw's input sample (flag "idb"), then divide by
+    max(1, sqrt(v)) (flag "vn", always last). Statistics update after the
+    signal is adjusted.
     """
     flags = frozenset(flags)
     bad = flags - VALID_FLAGS
@@ -127,15 +130,11 @@ def apply_baselines(
     if "c" in flags:
         adjusted -= b
         subtracted += b
-    pred = 0.0
     if "idb" in flags:
-        if input_sample is None:
-            raise ValueError("idb flag requires the input sample")
-        pred = state.ensure_idb(np.asarray(input_sample).size).value(
-            np.asarray(input_sample, dtype=np.float64).ravel()
-        )
-        adjusted -= pred
-        subtracted += pred
+        if idb_pred is None:
+            raise ValueError("idb flag requires the prediction for the input sample")
+        adjusted -= idb_pred
+        subtracted += idb_pred
     if "vn" in flags:
         adjusted /= max(1.0, math.sqrt(v))
 
@@ -214,12 +213,19 @@ def _score_estimate(
     node's learning signal is the cost (`lr`). An anchor `(values, adjoints,
     cost)` of a mean-field pass makes it MuProp: the signal is the residual
     f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i), and the linear term comes
-    back through the mean map. Each signal goes through `apply_baselines`;
-    after the last one, the idb net (flag "idb") takes one regression step
-    toward the mean raw signal minus the mean updated moving baseline.
+    back through the mean map. Each signal goes through `apply_baselines`.
+    With flag "idb", the net predicts once per draw, and after the last
+    signal it takes one regression step toward the mean raw signal minus the
+    mean updated moving baseline.
     """
     _check_stochastic_trace(graph, trace)
     state = baselines if baselines is not None else BaselineState()
+    idb_pred = None
+    if "idb" in flags:
+        if idb_input is None:
+            raise ValueError("idb flag requires the input sample")
+        x_in = np.asarray(idb_input, dtype=np.float64).ravel()
+        idb_pred = state.ensure_idb(x_in.size).value(x_in)
     f = trace.cost_value(cost)
     seeds: dict[int, np.ndarray] = {cost: np.ones(())}
     node_diag: dict[int, dict] = {}
@@ -237,7 +243,7 @@ def _score_estimate(
                 gbar = np.zeros(node.shape) if adj[sid] is None else as_tensor(adj[sid])
                 signal = f - anchor_cost - float(np.dot(gbar.ravel(), (x - values[sid]).ravel()))
                 d = {"residual": signal, "anchor_cost": anchor_cost}
-            adjusted = apply_baselines(signal, sid, state, flags, idb_input, diag=d)
+            adjusted = apply_baselines(signal, sid, state, flags, idb_pred, diag=d)
             node_diag[sid] = d
             seed = score * adjusted
             if anchor is not None:
@@ -246,7 +252,7 @@ def _score_estimate(
     if "idb" in flags:
         raws = [d["signal"] for d in node_diag.values()]
         target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
-        idb_update(state, idb_input, target, state.idb_lr)
+        idb_update(state, x_in, target, state.idb_lr)
     return GradientEstimate(
         _param_grads(graph, trace, seeds), f, node_diag,
         logprob=sum(trace.logprobs.values()), **fields,
@@ -395,26 +401,17 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=sum(trace.logprobs.values()))
 
 
-def half_estimate(
-    graph: Graph,
-    trace: Trace,
-    cost,
-    xbar: str = "1/k",
-    clamp: float = 1e-12,
-) -> GradientEstimate:
+def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     """Derivative-at-sample estimator rescaled by outcome probabilities.
 
     Binary units: adjoint * sigmoid'(l) / (2 * P(x)), per unit. Categorical
-    units: [adjoint . (x - xbar)] * (selected Jacobian row) / P(selected), per
-    unit, with xbar one of "1/2", "1/k", or "mean". Probabilities are clamped
-    below at `clamp`; clamp events are counted in the diagnostics, over the
-    units whose logits are differentiable in some parameter (the only ones
-    the sweep visits).
+    units: [adjoint . (x - 1/k)] * (selected Jacobian row) / P(selected), per
+    unit. Probabilities are clamped below at `HALF_CLAMP`; clamp events are
+    counted in the diagnostics, over the units whose logits are
+    differentiable in some parameter (the only ones the sweep visits).
     """
     cost = graph.node_id(cost)
     _check_stochastic_trace(graph, trace)
-    if xbar not in ("1/2", "1/k", "mean"):
-        raise ValueError(f"unknown anchor {xbar!r}")
     clamped = 0
 
     def vjp(node, logits, value, adjoint):
@@ -422,25 +419,17 @@ def half_estimate(
         if node.op == "bernoulli":
             m = sigmoid(logits)
             p = np.where(value == 1.0, m, 1.0 - m)
-            hit = p < clamp
-            clamped += int(np.count_nonzero(hit))
-            return adjoint * m * (1.0 - m) / (2.0 * np.maximum(p, clamp))
+            clamped += int(np.count_nonzero(p < HALF_CLAMP))
+            return adjoint * m * (1.0 - m) / (2.0 * np.maximum(p, HALF_CLAMP))
         k = node.k
         probs = softmax(logits.reshape(-1, k), axis=-1)
         v = value.reshape(-1, k)
         a = adjoint.reshape(-1, k)
-        if xbar == "1/2":
-            anchor = 0.5
-        elif xbar == "1/k":
-            anchor = 1.0 / k
-        else:
-            anchor = probs
-        coeff = np.sum(a * (v - anchor), axis=-1, keepdims=True)
+        coeff = np.sum(a * (v - 1.0 / k), axis=-1, keepdims=True)
         sel_p = np.sum(probs * v, axis=-1, keepdims=True)
         jac_sel = sel_p * (v - probs)  # d P(selected) / d logits, per unit
-        hit = sel_p < clamp
-        clamped += int(np.count_nonzero(hit))
-        return (coeff * jac_sel / np.maximum(sel_p, clamp)).reshape(node.shape)
+        clamped += int(np.count_nonzero(sel_p < HALF_CLAMP))
+        return (coeff * jac_sel / np.maximum(sel_p, HALF_CLAMP)).reshape(node.shape)
 
     return GradientEstimate(
         _param_grads(graph, trace, {cost: np.ones(())}, vjp),
@@ -458,7 +447,6 @@ def half_estimate(
 class EstimatorConfig:
     name: str
     flags: frozenset = frozenset()
-    xbar: str = "1/k"
 
     def __post_init__(self):
         if self.name not in ESTIMATORS:
@@ -503,6 +491,6 @@ def estimate(
     elif name == "st":
         est = st_estimate(graph, trace, cost)
     else:
-        est = half_estimate(graph, trace, cost, xbar=config.xbar)
+        est = half_estimate(graph, trace, cost)
     est.stochastic_passes = 1
     return est

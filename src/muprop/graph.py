@@ -29,7 +29,6 @@ value.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import rng as _rng
 from .distributions import BernoulliLayer, CategoricalLayer
-from .numerics import as_tensor, sigmoid, softmax, softplus
+from .numerics import as_tensor, logsumexp, sigmoid, softmax, softplus
 
 
 class Kind(enum.IntEnum):
@@ -45,8 +44,7 @@ class Kind(enum.IntEnum):
     PARAMETER = 1
     DETERMINISTIC = 2
     STOCHASTIC = 3
-    STOP_GRADIENT = 4
-    COST = 5
+    COST = 4
 
 
 class Mode(enum.Enum):
@@ -191,9 +189,6 @@ class Graph:
     def categorical(self, logits, k, name=None) -> int:
         return self._add(Kind.STOCHASTIC, "categorical", (logits,), name=name, k=int(k))
 
-    def stop_gradient(self, x, name=None) -> int:
-        return self._add(Kind.STOP_GRADIENT, None, (x,), name=name)
-
     def cost(self, x, name=None) -> int:
         return self._add(Kind.COST, None, (x,), name=name)
 
@@ -205,15 +200,10 @@ class Graph:
                 return self._names[ref]
             except KeyError:
                 raise KeyError(f"no node named {ref!r}") from None
-        return int(ref)
-
-    @property
-    def input_ids(self) -> list[int]:
-        return [
-            n.id
-            for n in self.nodes
-            if n.kind == Kind.INPUT and n.id not in self.constants
-        ]
+        nid = int(ref)
+        if not 0 <= nid < len(self.nodes):
+            raise KeyError(f"no node with id {nid}")
+        return nid
 
     @property
     def param_ids(self) -> list[int]:
@@ -229,10 +219,8 @@ class Graph:
             ids = self._ids[kind] = tuple(n.id for n in self.nodes if n.kind == kind)
         return list(ids)
 
-    def layer(self, node: Node | int, logits: np.ndarray):
+    def layer(self, node: Node, logits: np.ndarray):
         """Distribution object for a stochastic node given its logit tensor."""
-        if isinstance(node, int):
-            node = self.nodes[node]
         cls = _SAMPLERS[node.op].layer
         return cls(logits.reshape(-1, node.k) if node.k else logits)
 
@@ -240,10 +228,9 @@ class Graph:
         """Which nodes a sweep that reads only `need` (ids or names) must visit.
 
         A node is live iff it is in `need` or one of its parents is live
-        through a differentiable edge. Stop-gradient nodes never pass their
-        adjoint on, and neither do the stochastic nodes in `barriers` unless
-        `through_barriers` (a sweep with a `stochastic_vjp`). Memoized until
-        the next node is appended.
+        through a differentiable edge. The stochastic nodes in `barriers` pass
+        no adjoint on unless `through_barriers` (a sweep with a
+        `stochastic_vjp`). Memoized until the next node is appended.
         """
         need = tuple(need)
         key = (need, barriers, through_barriers)
@@ -254,71 +241,12 @@ class Graph:
             for node in self.nodes:
                 if node.id in need:
                     live[node.id] = True
-                elif node.kind == Kind.STOP_GRADIENT or (
-                    node.id in barriers and not through_barriers
-                ):
+                elif node.id in barriers and not through_barriers:
                     continue
                 else:
                     live[node.id] = any(live[p] for p in node.parents)
             self._live[key] = live
         return live
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        nodes = []
-        for n in self.nodes:
-            d = {
-                "id": n.id,
-                "kind": n.kind.name,
-                "op": n.op,
-                "parents": list(n.parents),
-                "shape": list(n.shape),
-            }
-            for key in ("name", "k", "span", "init", "fan_in"):
-                v = getattr(n, key)
-                if v is not None:
-                    d[key] = list(v) if isinstance(v, tuple) else v
-            nodes.append(d)
-        return {
-            "nodes": nodes,
-            "constants": {str(i): v.tolist() for i, v in self.constants.items()},
-            "meta": self.meta,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Graph":
-        g = cls()
-        for d in data["nodes"]:
-            kind = Kind[d["kind"]]
-            attrs = {}
-            if kind == Kind.PARAMETER:
-                attrs = {"init": d.get("init"), "fan_in": d.get("fan_in")}
-            if d.get("k") is not None:
-                attrs["k"] = d["k"]
-            if d.get("span") is not None:
-                attrs["span"] = tuple(d["span"])
-            nid = g._add(
-                kind,
-                d["op"],
-                tuple(d["parents"]),
-                name=d.get("name"),
-                shape=tuple(d["shape"]),
-                **attrs,
-            )
-            if tuple(g.nodes[nid].shape) != tuple(d["shape"]):
-                raise ValueError(f"node {nid}: stored shape disagrees with op rule")
-        for sid, v in data.get("constants", {}).items():
-            g.constants[int(sid)] = as_tensor(v)
-        g.meta = data.get("meta", {})
-        return g
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        return cls.from_dict(json.loads(text))
 
 
 # -- op table -------------------------------------------------------------------
@@ -351,7 +279,7 @@ def _shape_rule(kind: Kind, op):
         if op not in table:
             raise ValueError(f"unknown {kind.name.lower()} op {op!r}")
         return table[op].shape
-    return {Kind.STOP_GRADIENT: _unary_shape, Kind.COST: _cost_shape}.get(kind)
+    return _cost_shape if kind == Kind.COST else None
 
 
 def _unary_shape(pshapes, attrs):
@@ -412,28 +340,23 @@ def _affine_vjp(node, values, a, j):
 
 def _softmax_shape(pshapes, attrs):
     grouped = attrs.get("k") is not None
-    return (_grouped_shape if grouped else _unary_shape)(pshapes, attrs)
+    return (_grouped_shape if grouped else _logits_shape)(pshapes, attrs)
+
+
+def _softmax_width(node):
+    """Group width of a softmax node: `k`, else one group over the whole vector."""
+    return node.k if node.k is not None else node.shape[0]
 
 
 def _softmax(node, values):
     x = values[node.parents[0]]
-    if node.k is not None:
-        return softmax(x.reshape(-1, node.k), axis=-1).reshape(node.shape)
-    return softmax(x, axis=-1)
+    return softmax(x.reshape(-1, _softmax_width(node)), axis=-1).reshape(node.shape)
 
 
-def _softmax_vjp(node, values, a, j):
-    y = values[node.id]
-    if node.k is not None:
-        yk, ak = y.reshape(-1, node.k), a.reshape(-1, node.k)
-        return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(node.shape)
-    return y * (a - np.sum(a * y, axis=-1, keepdims=True))
-
-
-def _logsumexp(node, values):
-    x = values[node.parents[0]].reshape(-1, node.k)
-    m = np.max(x, axis=-1)
-    return m + np.log(np.sum(np.exp(x - m[:, None]), axis=-1))
+def _softmax_adjoint(y, a, k):
+    """Adjoint through a softmax over groups of `k` entries, at its output `y`."""
+    yk, ak = y.reshape(-1, k), a.reshape(-1, k)
+    return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(a.shape)
 
 
 def _logsumexp_vjp(node, values, a, j):
@@ -480,7 +403,8 @@ _OPS: dict[str, Op] = {
                   lambda n, v, a, j: a * v[n.id] * (1.0 - v[n.id])),
     "tanh": Op(_unary_shape, lambda n, v: np.tanh(v[n.parents[0]]),
                lambda n, v, a, j: a * (1.0 - v[n.id] * v[n.id])),
-    "softmax": Op(_softmax_shape, _softmax, _softmax_vjp),
+    "softmax": Op(_softmax_shape, _softmax,
+                  lambda n, v, a, j: _softmax_adjoint(v[n.id], a, _softmax_width(n))),
     "softplus": Op(_unary_shape, lambda n, v: softplus(v[n.parents[0]]),
                    lambda n, v, a, j: a * sigmoid(v[n.parents[0]])),
     "add": Op(_binary_shape, lambda n, v: v[n.parents[0]] + v[n.parents[1]], _pass_vjp),
@@ -498,7 +422,7 @@ _OPS: dict[str, Op] = {
     "exp": Op(_unary_shape, lambda n, v: np.exp(v[n.parents[0]]),
               lambda n, v, a, j: a * v[n.id]),
     "logsumexp": Op(lambda s, attrs: (_grouped_shape(s, attrs)[0] // attrs["k"],),
-                    _logsumexp, _logsumexp_vjp),
+                    lambda n, v: logsumexp(v[n.parents[0]].reshape(-1, n.k)), _logsumexp_vjp),
     "concat": Op(_concat_shape, lambda n, v: np.concatenate([np.atleast_1d(v[q]) for q in n.parents]),
                  _concat_vjp),
     "slice": Op(_slice_shape, lambda n, v: v[n.parents[0]][n.span[0] : n.span[1]], _slice_vjp),
@@ -513,9 +437,7 @@ def _bernoulli_mean_vjp(node, logits, adj):
 
 
 def _categorical_mean_vjp(node, logits, adj):
-    probs = softmax(logits.reshape(-1, node.k), axis=-1)
-    a = adj.reshape(-1, node.k)
-    return (probs * (a - np.sum(a * probs, axis=-1, keepdims=True))).reshape(node.shape)
+    return _softmax_adjoint(softmax(logits.reshape(-1, node.k), axis=-1), adj, node.k)
 
 
 _SAMPLERS: dict[str, Sampler] = {
@@ -612,7 +534,7 @@ def forward(
                     barriers.add(node.id)
                 else:
                     v = layer.mean().reshape(node.shape)
-            else:  # STOP_GRADIENT, COST
+            else:  # COST
                 v = values[node.parents[0]]
 
             if validate and not np.all(np.isfinite(v)):
@@ -681,7 +603,7 @@ def backward(
             elif kind == Kind.COST:
                 vjp = _pass_vjp
             elif kind != Kind.STOCHASTIC:
-                continue  # inputs, parameters and stop-gradient nodes pass nothing on
+                continue  # inputs and parameters pass nothing on
             elif i not in trace.barriers:
                 vjp = _mean_field_vjp
             elif stochastic_vjp is not None:

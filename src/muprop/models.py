@@ -91,12 +91,10 @@ def build_structured_predictor(arch: str, m: int = 1) -> Graph:
     b_out = g.parameter((out_dim,), "b_out", init="zeros")
 
     logps = []
-    hiddens = []
     for _ in range(m):
         h = x
         for tok, (w, b) in zip(hidden, layer_params):
             h = _sample(g, g.affine(h, w, b), tok.k)
-        hiddens.append(h)
         ylogits = g.affine(h, w_out, b_out)
         logps.append(_log_prob(g, y, ylogits))
 
@@ -105,14 +103,10 @@ def build_structured_predictor(arch: str, m: int = 1) -> Graph:
     cost = g.cost(g.sub(g.constant(math.log(m), "log_m"), lse))
     g.meta.update(
         task="structured_prediction",
-        arch=arch,
         input="x",
         target="y",
         cost=cost,
         logp_nodes=tuple(logps),
-        hidden_nodes=tuple(hiddens),
-        m=m,
-        idb_input="x",
     )
     return g
 
@@ -188,15 +182,7 @@ def build_sbn_variational(arch: str) -> VariationalModel:
         total_p = g.add(total_p, t)
     bound = g.sub(total_p, total_q)
     cost = g.cost(g.sub(total_q, total_p))
-    g.meta.update(
-        task="variational",
-        arch=arch,
-        input="x",
-        cost=cost,
-        bound_node=bound,
-        latent_nodes=tuple(latents),
-        idb_input="x",
-    )
+    g.meta.update(task="variational", input="x", cost=cost, bound_node=bound)
     return VariationalModel(
         graph=g,
         cost=cost,

@@ -56,7 +56,6 @@ class ExperimentConfig:
     m_train: int = 1
     binarization: str = "resample"
     idb_lr: float = 0.01
-    xbar: str = "1/k"
     log_every: int = 0  # extra metric rows every n steps; 0 = first/last only
     eval_every: int = 0  # extra eval rows every n steps; 0 = first/last only
     max_steps: int = 0  # 0 = no cap
@@ -129,6 +128,8 @@ def load_checkpoint(path):
         raw = fh.read()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of 12 bytes)")
     (mlen,) = struct.unpack("<I", raw[8:12])
     manifest = json.loads(raw[12 : 12 + mlen])
     blob = raw[12 + mlen :]
@@ -238,11 +239,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cost or any gradient goes non-finite.
     """
     graph, cost = _build_task(cfg)
-    est_cfg = EstimatorConfig(
-        cfg.estimator,
-        flags=frozenset(cfg.flags) if cfg.estimator in SCORE_ESTIMATORS else frozenset(),
-        xbar=cfg.xbar,
-    )
+    # only the score-function estimators take baseline flags; the rest run without
+    flags = list(cfg.flags) if cfg.estimator in SCORE_ESTIMATORS else []
+    est_cfg = EstimatorConfig(cfg.estimator, flags=frozenset(flags))
     params = init_params(graph, seed=_rng.fold(cfg.seed, 11))
     velocity: dict = {}
     baselines = BaselineState(seed=_rng.fold(cfg.seed, 12), idb_lr=cfg.idb_lr)
@@ -348,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "task": cfg.task,
         "arch": cfg.arch,
         "estimator": cfg.estimator,
-        "flags": list(cfg.flags),
+        "flags": flags,
         "lr": cfg.lr,
         "seed": cfg.seed,
         "steps": step,

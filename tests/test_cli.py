@@ -63,9 +63,10 @@ def test_config_file_layering(capsys, tmp_path):
     _, out = run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile),
                      "--lr", "0.1")
     assert json.loads(out)["lr"] == 0.1
-    cfgfile.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(ValueError, match="unknown config keys"):
-        run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile))
+    for stale in ({"bogus": 1}, {"arch": "4-2-4", "xbar": "1/k"}):
+        cfgfile.write_text(json.dumps(stale))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile))
 
 
 def test_train_command_runs_small_experiment(capsys, tmp_path):

@@ -21,6 +21,7 @@ from muprop import (
     st_estimate,
     stochastic_layers,
 )
+from muprop.estimators import SCORE_ESTIMATORS, IdbNet
 from muprop.rng import stream
 
 from helpers import single_unit
@@ -86,21 +87,12 @@ def test_derivative_rescaled_categorical_hand_value():
     assert est.extra["clamped_units"] == 0
 
 
-def test_half_rejects_unknown_anchor():
-    g = Graph()
-    th = g.parameter((2,), "th", init="zeros")
-    c = g.cost(g.sum(g.categorical(th, k=2)))
-    tr = forward(g, params={"th": np.zeros(2)}, rng_seed=0)
-    with pytest.raises(ValueError, match="anchor"):
-        half_estimate(g, tr, c, xbar="1/3")
-
-
 def test_half_clamp_diagnostics_count_rare_outcomes():
     g, th, c = single_unit()
     sid = g.stochastic_ids[0]
     # force the essentially impossible outcome at a saturated logit
     tr = forward(g, params={"th": np.asarray(40.0)}, forced={sid: np.array([0.0])})
-    est = half_estimate(g, tr, c, clamp=1e-12)
+    est = half_estimate(g, tr, c)
     assert est.extra["clamped_units"] == 1
     assert np.isfinite(est.grads[th])
     tr2 = forward(g, params={"th": np.asarray(40.0)}, forced={sid: np.array([1.0])})
@@ -170,12 +162,39 @@ def test_input_dependent_baseline_regresses_to_signal():
     assert net.sgd_step(x, target, 0.01) == pytest.approx(before)
 
 
+def two_layer_predictor():
+    g = build_structured_predictor("8-4-4-8")
+    gen = stream(4)
+    xy = {"x": gen.integers(0, 2, 8) * 1.0, "y": gen.integers(0, 2, 8) * 1.0}
+    return g, xy, init_params(g, seed=2)
+
+
 def test_idb_subtraction_uses_shared_net():
+    st = BaselineState()
+    assert apply_baselines(5.0, 0, st, {"idb"}, idb_pred=1.25) == 5.0 - 1.25
+    g, xy, params = two_layer_predictor()
     st = BaselineState(idb_hidden=8, seed=1)
-    x = np.array([0.3, 0.7])
-    pred = st.ensure_idb(2).value(x)
-    got = apply_baselines(5.0, 0, st, {"idb"}, input_sample=x)
-    assert got == pytest.approx(5.0 - pred)
+    pred = st.ensure_idb(8).value(xy["x"])
+    est = estimate(EstimatorConfig("lr", flags={"idb"}), g, g.meta["cost"], xy, params, 3,
+                   baselines=st, idb_input=xy["x"])
+    assert [d["baseline"] for d in est.node_diag.values()] == [pred, pred]
+    with pytest.raises(ValueError, match="input sample"):
+        estimate(EstimatorConfig("lr", flags={"idb"}), g, g.meta["cost"], xy, params, 3)
+
+
+def test_idb_net_predicts_once_per_draw(monkeypatch):
+    g, xy, params = two_layer_predictor()
+    calls = []
+    value = IdbNet.value
+    monkeypatch.setattr(IdbNet, "value", lambda net, x: calls.append(1) or value(net, x))
+    for name in SCORE_ESTIMATORS:
+        state = BaselineState()
+        for draw in range(2):  # the first draw builds the net, the second reuses it
+            calls.clear()
+            est = estimate(EstimatorConfig(name, flags={"c", "idb"}), g, g.meta["cost"], xy,
+                           params, draw, baselines=state, idb_input=xy["x"])
+            assert len(est.node_diag) == 2
+            assert len(calls) == 1, name
 
 
 def test_layer_grouping_by_sampling_depth():

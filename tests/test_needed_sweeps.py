@@ -217,21 +217,6 @@ def test_multi_parent_ops_skip_only_dead_parents():
     assert adj[x] is None and adj[w] is None
 
 
-def test_stop_gradient_ends_liveness():
-    g = Graph()
-    x = g.input((), "x")
-    sq = g.square(x)
-    frozen = g.stop_gradient(sq)
-    prod = g.mul(frozen, x)
-    c = g.cost(prod)
-    live = g.liveness([x], frozenset(), False)
-    assert live == [True, True, False, True, True]
-    tr = forward(g, {"x": 3.0}, mode=Mode.MEAN_FIELD)
-    adj = backward(g, tr, {c: np.ones(())}, need=[x])
-    assert float(adj[x]) == 9.0
-    assert adj[frozen] is None and adj[sq] is None
-
-
 def test_barriers_end_liveness_unless_a_vjp_passes_them():
     g = Graph()
     th = g.parameter((2,), "th")

@@ -80,6 +80,13 @@ def test_checkpoint_corruption_detection(tmp_path):
     bad.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(bad)
+    bad.write_bytes(raw[:9])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_checkpoint(bad)
+    for cut in range(len(raw)):  # inside the magic, the header, the manifest, the payload
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_save_replaces_the_file_atomically(tmp_path, monkeypatch):
@@ -244,3 +251,12 @@ def test_run_sweep_writes_report(tmp_path):
     assert os.path.isdir(tmp_path / "sweep" / "lr_0.3")
     with pytest.raises(ValueError, match="empty"):
         run_sweep(cfg, [])
+
+
+def test_summary_reports_the_flags_the_estimator_ran_with(tmp_path):
+    for name, flags, want in (("st", ("c",), []), ("half", ("c", "vn"), []),
+                              ("lr", ("c", "vn"), ["c", "vn"])):
+        out = tmp_path / name
+        summary = run_experiment(small_config(out, estimator=name, flags=flags, max_steps=1))
+        assert summary["flags"] == want, name
+        assert json.loads((out / "summary.json").read_text())["flags"] == want, name
