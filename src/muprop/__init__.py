@@ -22,7 +22,7 @@ from .estimators import (
     st_estimate,
     stochastic_layers,
 )
-from .graph import Graph, Kind, Mode, Node, Trace, backward, forward, gradients, mean_vjp
+from .graph import Graph, Kind, Mode, Node, Trace, backward, forward, gradients
 from .models import build_sbn_variational, build_structured_predictor, evaluate_nll, init_params
 from .numerics import as_tensor, log_mean_exp
 from .oracle import (
@@ -69,7 +69,6 @@ __all__ = [
     "log_mean_exp",
     "lr_estimate",
     "mean_field_pass",
-    "mean_vjp",
     "muprop_estimate",
     "muprop_rollout_estimate",
     "run_experiment",

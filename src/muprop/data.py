@@ -9,31 +9,24 @@ import numpy as np
 from . import rng as _rng
 
 IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
 
 
 def load_idx(path) -> np.ndarray:
-    """Read one big-endian IDX file (images or labels) into a uint8 array."""
+    """Read one big-endian IDX image file into a uint8 [n, rows, cols] array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated header")
     (magic,) = struct.unpack(">I", raw[:4])
-    if magic == IMAGE_MAGIC:
-        if len(raw) < 16:
-            raise ValueError(f"{path}: truncated header")
-        n, rows, cols = struct.unpack(">III", raw[4:16])
-        body = raw[16:]
-        if len(body) != n * rows * cols:
-            raise ValueError(f"{path}: truncated payload ({len(body)} of {n * rows * cols} bytes)")
-        return np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols).copy()
-    if magic == LABEL_MAGIC:
-        (n,) = struct.unpack(">I", raw[4:8])
-        body = raw[8:]
-        if len(body) != n:
-            raise ValueError(f"{path}: truncated payload ({len(body)} of {n} bytes)")
-        return np.frombuffer(body, dtype=np.uint8).copy()
-    raise ValueError(f"{path}: bad magic 0x{magic:08x}")
+    if magic != IMAGE_MAGIC:
+        raise ValueError(f"{path}: bad magic 0x{magic:08x}")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header")
+    n, rows, cols = struct.unpack(">III", raw[4:16])
+    body = raw[16:]
+    if len(body) != n * rows * cols:
+        raise ValueError(f"{path}: truncated payload ({len(body)} of {n * rows * cols} bytes)")
+    return np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols).copy()
 
 
 def resolve_data_dir(data_dir: str | None) -> str:

@@ -1,17 +1,20 @@
-"""Discrete sampling layers parameterized by logits.
+"""Discrete sampling layers parameterized by logits, one class per family.
 
-Both layers expose the same four operations: `mean`, `sample`, `log_prob`, and
-`score` (the gradient of the log-density with respect to the logits, which has
-the closed form value - mean for both families). Logits are the only
+Both layers expose `mean`, `sample`, `log_prob`, `score` (the gradient of the
+log-density with respect to the logits, which has the closed form value - mean
+for both families), `mean_vjp` (the adjoint through the mean map), `half`
+(the rescaled-derivative logit adjoint), and the enumeration `support` /
+`support_size`, which depend only on the logits' shape. Logits are the only
 parameterization; probabilities never appear in interfaces.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_tensor, logsumexp, sigmoid, softmax, softplus
+from .numerics import as_tensor, logsumexp, sigmoid, softmax, softmax_adjoint, softplus
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,25 @@ class BernoulliLayer:
         if not checked:
             value = self.validate(value)
         return value - self.mean()
+
+    def mean_vjp(self, adj: np.ndarray) -> np.ndarray:
+        m = self.mean()
+        return adj * m * (1.0 - m)
+
+    def half(self, value: np.ndarray, adj: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
+        """adj * sigmoid'(l) / (2 P(x)) per unit, and the count of P(x) below `clamp`."""
+        m = self.mean()
+        p = np.where(value == 1.0, m, 1.0 - m)
+        return adj * m * (1.0 - m) / (2.0 * np.maximum(p, clamp)), int(np.count_nonzero(p < clamp))
+
+    @staticmethod
+    def support_size(shape) -> int:
+        return 2 ** shape[0]
+
+    @staticmethod
+    def support(shape) -> list[np.ndarray]:
+        """Every value, in binary counting order (unit 0 is the lowest bit)."""
+        return [np.array(bits[::-1]) for bits in itertools.product((0.0, 1.0), repeat=shape[0])]
 
 
 @dataclass(frozen=True)
@@ -92,3 +114,25 @@ class CategoricalLayer:
         if not checked:
             value = self.validate(value)
         return value - self.mean()
+
+    def mean_vjp(self, adj: np.ndarray) -> np.ndarray:
+        return softmax_adjoint(self.mean(), adj, self.logits.shape[-1])
+
+    def half(self, value: np.ndarray, adj: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
+        """[adj . (x - 1/k)] * dP(x)/dl / P(x) per unit, and the count of P(x) below `clamp`."""
+        probs = self.mean()
+        coeff = np.sum(adj * (value - 1.0 / self.logits.shape[-1]), axis=-1, keepdims=True)
+        sel_p = np.sum(probs * value, axis=-1, keepdims=True)  # P(x), per unit
+        jac_sel = sel_p * (value - probs)  # d P(x) / d logits, per unit
+        return coeff * jac_sel / np.maximum(sel_p, clamp), int(np.count_nonzero(sel_p < clamp))
+
+    @staticmethod
+    def support_size(shape) -> int:
+        return shape[1] ** shape[0]
+
+    @staticmethod
+    def support(shape) -> list[np.ndarray]:
+        """Every value, in `itertools.product` order over the units' categories."""
+        units, k = shape
+        eye = np.eye(k)
+        return [eye[list(idx)] for idx in itertools.product(range(k), repeat=units)]

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, Kind, Mode, Trace, backward, forward, mean_vjp
-from .numerics import as_tensor, sigmoid, softmax
+from .graph import Graph, Kind, Mode, Trace, backward, forward
+from .numerics import as_tensor
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
 ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
@@ -40,6 +40,9 @@ ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
 SCORE_ESTIMATORS = ("lr", "muprop", "muprop_rollout")
 # `half` clamps outcome probabilities below at this value
 HALF_CLAMP = 1e-12
+# moving-average decay of the baseline statistics, and the idb net's step size
+BASELINE_DECAY = 0.9
+IDB_LR = 0.01
 
 
 # -- variance-reduction state --------------------------------------------------
@@ -83,14 +86,12 @@ class BaselineState:
     """Per-node moving statistics plus an optional shared input-dependent net.
 
     `b` tracks the moving mean of each node's raw signal, `v` the moving mean
-    of the centered signal's square. Both update after each use with the
-    configured decay; a fresh state divides by max(1, sqrt(0)) = 1. The
-    estimators train `idb` once per draw, at learning rate `idb_lr`.
+    of the centered signal's square. Both update after each use with decay
+    `BASELINE_DECAY`; a fresh state divides by max(1, sqrt(0)) = 1. The
+    estimators train `idb` once per draw, at learning rate `IDB_LR`.
     """
 
-    decay: float = 0.9
     idb_hidden: int = 100
-    idb_lr: float = 0.01
     seed: int = 0
     b: dict[int, float] = field(default_factory=dict)
     v: dict[int, float] = field(default_factory=dict)
@@ -139,7 +140,7 @@ def apply_baselines(
         adjusted /= max(1.0, math.sqrt(v))
 
     centered = signal - subtracted
-    d = state.decay
+    d = BASELINE_DECAY
     state.b[node_id] = d * b + (1.0 - d) * signal
     state.v[node_id] = d * v + (1.0 - d) * centered * centered
     if diag is not None:
@@ -247,12 +248,12 @@ def _score_estimate(
             node_diag[sid] = d
             seed = score * adjusted
             if anchor is not None:
-                seed = seed + mean_vjp(node, trace.values[lp], gbar)
+                seed = seed + layer.mean_vjp(gbar.reshape(layer.logits.shape)).reshape(node.shape)
             _add_seed(seeds, lp, seed)
     if "idb" in flags:
         raws = [d["signal"] for d in node_diag.values()]
         target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
-        idb_update(state, x_in, target, state.idb_lr)
+        idb_update(state, x_in, target, IDB_LR)
     return GradientEstimate(
         _param_grads(graph, trace, seeds), f, node_diag,
         logprob=sum(trace.logprobs.values()), **fields,
@@ -394,42 +395,27 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     cost = graph.node_id(cost)
     _check_stochastic_trace(graph, trace)
 
-    def vjp(node, logits, value, adjoint):
-        return mean_vjp(node, logits, adjoint)
-
-    grads = _param_grads(graph, trace, {cost: np.ones(())}, vjp)
+    grads = _param_grads(graph, trace, {cost: np.ones(())}, lambda layer, x, a: layer.mean_vjp(a))
     return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=sum(trace.logprobs.values()))
 
 
 def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     """Derivative-at-sample estimator rescaled by outcome probabilities.
 
-    Binary units: adjoint * sigmoid'(l) / (2 * P(x)), per unit. Categorical
-    units: [adjoint . (x - 1/k)] * (selected Jacobian row) / P(selected), per
-    unit. Probabilities are clamped below at `HALF_CLAMP`; clamp events are
-    counted in the diagnostics, over the units whose logits are
+    Each drawn layer's `half` rescales the adjoint at its logits by the
+    sampled outcomes' probabilities, clamped below at `HALF_CLAMP`; clamp
+    events are counted in the diagnostics, over the units whose logits are
     differentiable in some parameter (the only ones the sweep visits).
     """
     cost = graph.node_id(cost)
     _check_stochastic_trace(graph, trace)
     clamped = 0
 
-    def vjp(node, logits, value, adjoint):
+    def vjp(layer, value, adjoint):
         nonlocal clamped
-        if node.op == "bernoulli":
-            m = sigmoid(logits)
-            p = np.where(value == 1.0, m, 1.0 - m)
-            clamped += int(np.count_nonzero(p < HALF_CLAMP))
-            return adjoint * m * (1.0 - m) / (2.0 * np.maximum(p, HALF_CLAMP))
-        k = node.k
-        probs = softmax(logits.reshape(-1, k), axis=-1)
-        v = value.reshape(-1, k)
-        a = adjoint.reshape(-1, k)
-        coeff = np.sum(a * (v - 1.0 / k), axis=-1, keepdims=True)
-        sel_p = np.sum(probs * v, axis=-1, keepdims=True)
-        jac_sel = sel_p * (v - probs)  # d P(selected) / d logits, per unit
-        clamped += int(np.count_nonzero(sel_p < HALF_CLAMP))
-        return (coeff * jac_sel / np.maximum(sel_p, HALF_CLAMP)).reshape(node.shape)
+        g, n = layer.half(value, adjoint, HALF_CLAMP)
+        clamped += n
+        return g
 
     return GradientEstimate(
         _param_grads(graph, trace, {cost: np.ones(())}, vjp),

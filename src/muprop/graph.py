@@ -10,8 +10,8 @@ input and parameter tensors. `forward` runs in one of two modes:
 
 Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
 forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
-rule, layer class, mean-map vjp); construction, both forward modes and the
-reverse sweep all read their op's entry.
+rule, and the layer class that holds all of the family's math); construction,
+both forward modes and the reverse sweep all read their op's entry.
 
 `gradients` runs reverse-mode accumulation over a recorded `Trace`. Sampling
 nodes behave as gradient barriers exactly when the trace marks them as drawn
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as _rng
 from .distributions import BernoulliLayer, CategoricalLayer
-from .numerics import as_tensor, logsumexp, sigmoid, softmax, softplus
+from .numerics import as_tensor, logsumexp, sigmoid, softmax, softmax_adjoint, softplus
 
 
 class Kind(enum.IntEnum):
@@ -60,10 +60,9 @@ class Node:
     parents: tuple[int, ...]
     shape: tuple[int, ...]
     name: str | None = None
-    k: int | None = None  # group width (categorical cells, grouped softmax/logsumexp)
+    k: int | None = None  # group width (categorical cells, softmax/logsumexp groups)
     span: tuple[int, int] | None = None  # slice bounds
     init: str | None = None  # parameter init rule: "fan_in" or "zeros"
-    fan_in: int | None = None
 
 
 @dataclass
@@ -125,13 +124,8 @@ class Graph:
         self.constants[nid] = value
         return nid
 
-    def parameter(self, shape, name=None, init="fan_in", fan_in=None) -> int:
-        shape = tuple(shape)
-        if init == "fan_in" and fan_in is None:
-            fan_in = shape[-1] if shape else 1
-        return self._add(
-            Kind.PARAMETER, shape=shape, name=name, init=init, fan_in=fan_in
-        )
+    def parameter(self, shape, name=None, init="fan_in") -> int:
+        return self._add(Kind.PARAMETER, shape=tuple(shape), name=name, init=init)
 
     def affine(self, x, w, b, name=None) -> int:
         return self._add(Kind.DETERMINISTIC, "affine", (x, w, b), name=name)
@@ -142,7 +136,7 @@ class Graph:
     def tanh(self, x, name=None) -> int:
         return self._add(Kind.DETERMINISTIC, "tanh", (x,), name=name)
 
-    def softmax(self, x, k=None, name=None) -> int:
+    def softmax(self, x, k, name=None) -> int:
         return self._add(Kind.DETERMINISTIC, "softmax", (x,), name=name, k=k)
 
     def softplus(self, x, name=None) -> int:
@@ -162,12 +156,6 @@ class Graph:
 
     def mean(self, x, name=None) -> int:
         return self._add(Kind.DETERMINISTIC, "mean", (x,), name=name)
-
-    def log(self, x, name=None) -> int:
-        return self._add(Kind.DETERMINISTIC, "log", (x,), name=name)
-
-    def exp(self, x, name=None) -> int:
-        return self._add(Kind.DETERMINISTIC, "exp", (x,), name=name)
 
     def logsumexp(self, x, k, name=None) -> int:
         return self._add(Kind.DETERMINISTIC, "logsumexp", (x,), name=name, k=k)
@@ -200,6 +188,8 @@ class Graph:
                 return self._names[ref]
             except KeyError:
                 raise KeyError(f"no node named {ref!r}") from None
+        if isinstance(ref, (bool, np.bool_)) or not isinstance(ref, (int, np.integer)):
+            raise TypeError(f"node id must be an integer or a name, got {ref!r}")
         nid = int(ref)
         if not 0 <= nid < len(self.nodes):
             raise KeyError(f"no node with id {nid}")
@@ -221,8 +211,8 @@ class Graph:
 
     def layer(self, node: Node, logits: np.ndarray):
         """Distribution object for a stochastic node given its logit tensor."""
-        cls = _SAMPLERS[node.op].layer
-        return cls(logits.reshape(-1, node.k) if node.k else logits)
+        cls, shape = layer_type(node)
+        return cls(logits.reshape(shape))
 
     def liveness(self, need, barriers: frozenset, through_barriers: bool) -> list[bool]:
         """Which nodes a sweep that reads only `need` (ids or names) must visit.
@@ -256,8 +246,8 @@ class Graph:
 # a bad combination, wrong arity included. A deterministic op (`Op`) also
 # has `forward(node, values)`, its value read off the list of node values,
 # and `vjp(node, values, adjoint, j)`, the adjoint of its j-th parent. A
-# sampling op (`Sampler`) has its layer class and the adjoint through its
-# mean map. Adding an op means one entry here plus one builder method.
+# sampling op (`Sampler`) has its layer class, which holds all of its family's
+# math. Adding an op means one entry here plus one builder method.
 
 
 class Op(NamedTuple):
@@ -269,7 +259,11 @@ class Op(NamedTuple):
 class Sampler(NamedTuple):
     shape: Callable[[list, dict], tuple]
     layer: type  # takes the logits, as [units, k] rows when the node has k
-    mean_vjp: Callable[[Node, np.ndarray, np.ndarray], np.ndarray]
+
+
+def layer_type(node: Node) -> tuple[type, tuple[int, ...]]:
+    """A stochastic node's layer class and the logits shape the class takes."""
+    return _SAMPLERS[node.op].layer, ((node.shape[0] // node.k, node.k) if node.k else node.shape)
 
 
 def _shape_rule(kind: Kind, op):
@@ -338,25 +332,9 @@ def _affine_vjp(node, values, a, j):
     return np.outer(a, values[x]) if j == 1 else a
 
 
-def _softmax_shape(pshapes, attrs):
-    grouped = attrs.get("k") is not None
-    return (_grouped_shape if grouped else _logits_shape)(pshapes, attrs)
-
-
-def _softmax_width(node):
-    """Group width of a softmax node: `k`, else one group over the whole vector."""
-    return node.k if node.k is not None else node.shape[0]
-
-
 def _softmax(node, values):
     x = values[node.parents[0]]
-    return softmax(x.reshape(-1, _softmax_width(node)), axis=-1).reshape(node.shape)
-
-
-def _softmax_adjoint(y, a, k):
-    """Adjoint through a softmax over groups of `k` entries, at its output `y`."""
-    yk, ak = y.reshape(-1, k), a.reshape(-1, k)
-    return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(a.shape)
+    return softmax(x.reshape(-1, node.k), axis=-1).reshape(node.shape)
 
 
 def _logsumexp_vjp(node, values, a, j):
@@ -403,8 +381,7 @@ _OPS: dict[str, Op] = {
                   lambda n, v, a, j: a * v[n.id] * (1.0 - v[n.id])),
     "tanh": Op(_unary_shape, lambda n, v: np.tanh(v[n.parents[0]]),
                lambda n, v, a, j: a * (1.0 - v[n.id] * v[n.id])),
-    "softmax": Op(_softmax_shape, _softmax,
-                  lambda n, v, a, j: _softmax_adjoint(v[n.id], a, _softmax_width(n))),
+    "softmax": Op(_grouped_shape, _softmax, lambda n, v, a, j: softmax_adjoint(v[n.id], a, n.k)),
     "softplus": Op(_unary_shape, lambda n, v: softplus(v[n.parents[0]]),
                    lambda n, v, a, j: a * sigmoid(v[n.parents[0]])),
     "add": Op(_binary_shape, lambda n, v: v[n.parents[0]] + v[n.parents[1]], _pass_vjp),
@@ -417,10 +394,6 @@ _OPS: dict[str, Op] = {
     "mean": Op(_reduce_shape, lambda n, v: np.asarray(np.mean(v[n.parents[0]])),
                lambda n, v, a, j: np.full(v[n.parents[0]].shape,
                                           float(a) / max(v[n.parents[0]].size, 1))),
-    "log": Op(_unary_shape, lambda n, v: np.log(v[n.parents[0]]),
-              lambda n, v, a, j: a / v[n.parents[0]]),
-    "exp": Op(_unary_shape, lambda n, v: np.exp(v[n.parents[0]]),
-              lambda n, v, a, j: a * v[n.id]),
     "logsumexp": Op(lambda s, attrs: (_grouped_shape(s, attrs)[0] // attrs["k"],),
                     lambda n, v: logsumexp(v[n.parents[0]].reshape(-1, n.k)), _logsumexp_vjp),
     "concat": Op(_concat_shape, lambda n, v: np.concatenate([np.atleast_1d(v[q]) for q in n.parents]),
@@ -431,18 +404,9 @@ _OPS: dict[str, Op] = {
 }
 
 
-def _bernoulli_mean_vjp(node, logits, adj):
-    m = sigmoid(logits)
-    return adj * m * (1.0 - m)
-
-
-def _categorical_mean_vjp(node, logits, adj):
-    return _softmax_adjoint(softmax(logits.reshape(-1, node.k), axis=-1), adj, node.k)
-
-
 _SAMPLERS: dict[str, Sampler] = {
-    "bernoulli": Sampler(_logits_shape, BernoulliLayer, _bernoulli_mean_vjp),
-    "categorical": Sampler(_grouped_shape, CategoricalLayer, _categorical_mean_vjp),
+    "bernoulli": Sampler(_logits_shape, BernoulliLayer),
+    "categorical": Sampler(_grouped_shape, CategoricalLayer),
 }
 
 
@@ -547,15 +511,6 @@ def forward(
 # -- reverse mode --------------------------------------------------------------
 
 
-def mean_vjp(node: Node, logits: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Adjoint through the mean map of a stochastic node, at the given logits."""
-    return _SAMPLERS[node.op].mean_vjp(node, logits, adj)
-
-
-def _mean_field_vjp(node, values, a, j):
-    return mean_vjp(node, values[node.parents[0]], a)
-
-
 def backward(
     graph: Graph,
     trace: Trace,
@@ -565,8 +520,10 @@ def backward(
 ) -> list:
     """Reverse sweep from injected adjoints; returns the adjoint list.
 
-    `stochastic_vjp(node, logits, value, adj) -> logit_adjoint | None`, when
-    given, replaces the barrier behavior at drawn stochastic nodes.
+    A stochastic node that is not a barrier passes its adjoint on through its
+    layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,
+    when given, replaces the barrier behavior at drawn stochastic nodes; its
+    arrays are in the layer's logits shape.
 
     `need` lists the nodes whose adjoints the caller reads; None means every
     node. Only live nodes (see `Graph.liveness`) are swept, and a node skips
@@ -587,8 +544,12 @@ def backward(
         v = as_tensor(sval)
         adj[sid] = v if adj[sid] is None else adj[sid] + v
 
-    def drawn_vjp(node, values, a, j):
-        return stochastic_vjp(node, values[node.parents[0]], values[node.id], a)
+    def sampler_vjp(node, values, a, j):
+        layer = graph.layer(node, values[node.parents[0]])
+        a = a.reshape(layer.logits.shape)
+        if node.id in trace.barriers:
+            return stochastic_vjp(layer, values[node.id].reshape(a.shape), a).reshape(node.shape)
+        return layer.mean_vjp(a).reshape(node.shape)
 
     values = trace.values
     with np.errstate(all="ignore"):
@@ -604,17 +565,14 @@ def backward(
                 vjp = _pass_vjp
             elif kind != Kind.STOCHASTIC:
                 continue  # inputs and parameters pass nothing on
-            elif i not in trace.barriers:
-                vjp = _mean_field_vjp
-            elif stochastic_vjp is not None:
-                vjp = drawn_vjp
+            elif i not in trace.barriers or stochastic_vjp is not None:
+                vjp = sampler_vjp
             else:
                 continue  # drawn sample: gradient stops here
             for j, q in enumerate(node.parents):
                 if live[q]:
                     g = vjp(node, values, a, j)
-                    if g is not None:
-                        adj[q] = g if adj[q] is None else adj[q] + g
+                    adj[q] = g if adj[q] is None else adj[q] + g
     return adj
 
 

@@ -202,7 +202,8 @@ def init_params(graph: Graph, seed: int) -> dict[str, np.ndarray]:
         if node.init == "zeros":
             out[key] = np.zeros(node.shape)
         else:
-            scale = 1.0 / math.sqrt(max(1, node.fan_in))
+            fan_in = node.shape[-1] if node.shape else 1
+            scale = 1.0 / math.sqrt(max(1, fan_in))
             out[key] = _rng.stream(seed, pid).uniform(-scale, scale, node.shape)
     return out
 

@@ -27,6 +27,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def softmax_adjoint(y: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """Adjoint `a` through a softmax over groups of `k` entries, at its output `y`."""
+    yk, ak = y.reshape(-1, k), a.reshape(-1, k)
+    return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(a.shape)
+
+
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(x, axis=axis, keepdims=True)
     out = m.squeeze(axis) + np.log(np.sum(np.exp(x - m), axis=axis))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
-from .graph import Graph, Mode, backward, forward
+from .graph import Graph, Mode, backward, forward, layer_type
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
@@ -30,38 +30,26 @@ class EnumerationReport:
     config_count: int
 
 
-def _support(node) -> list[np.ndarray]:
-    n = int(np.prod(node.shape)) if node.shape else 1
-    if node.op == "bernoulli":
-        out = []
-        for bits in range(1 << n):
-            v = np.array([(bits >> i) & 1 for i in range(n)], dtype=np.float64)
-            out.append(v)
-        return out
-    k = node.k
-    units = n // k
-    eye = np.eye(k)
-    out = []
-    for idx in itertools.product(range(k), repeat=units):
-        out.append(eye[list(idx)].reshape(node.shape).astype(np.float64))
-    return out
-
-
 def enumerate_configs(graph: Graph):
-    """Yield every joint assignment {stochastic node id -> value}."""
+    """Yield every joint assignment {stochastic node id -> value}; the count is
+    checked against `MAX_CONFIGS` before any support is built."""
     sids = graph.stochastic_ids
     if not sids:
         raise ValueError("graph has no stochastic nodes")
-    supports = [_support(graph.nodes[s]) for s in sids]
-    count = math.prod(len(s) for s in supports)
+    count = config_count(graph)
     if count > MAX_CONFIGS:
         raise ValueError(f"joint support has {count} configurations (limit {MAX_CONFIGS})")
+    types = [layer_type(graph.nodes[s]) for s in sids]
+    # stochastic nodes are 1-D, so each value flattens to its node's shape
+    supports = [[v.reshape(-1) for v in cls.support(shape)] for cls, shape in types]
     for combo in itertools.product(*supports):
         yield dict(zip(sids, combo))
 
 
 def config_count(graph: Graph) -> int:
-    return math.prod(len(_support(graph.nodes[s])) for s in graph.stochastic_ids)
+    """Size of the joint support, from the nodes' shapes alone."""
+    types = [layer_type(graph.nodes[s]) for s in graph.stochastic_ids]
+    return math.prod(cls.support_size(shape) for cls, shape in types)
 
 
 def exact_expected_cost_and_grad(

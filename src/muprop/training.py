@@ -54,8 +54,6 @@ class ExperimentConfig:
     eval_size: int = 64
     eval_samples: int = 20
     m_train: int = 1
-    binarization: str = "resample"
-    idb_lr: float = 0.01
     log_every: int = 0  # extra metric rows every n steps; 0 = first/last only
     eval_every: int = 0  # extra eval rows every n steps; 0 = first/last only
     max_steps: int = 0  # 0 = no cap
@@ -219,7 +217,7 @@ def _load_data(cfg: ExperimentConfig, epoch_seed: int):
     if cfg.dataset == "mnist":
         train = load_mnist(cfg.data_dir, "train")[: cfg.train_size]
         test = load_mnist(cfg.data_dir, "test")[: cfg.eval_size]
-        btr = binarize(train, seed=epoch_seed, mode=cfg.binarization)
+        btr = binarize(train, seed=epoch_seed)  # resampled every epoch
         bte = binarize(test, seed=_rng.fold(cfg.seed, 23), mode="threshold")
         if cfg.task == "structured_prediction":
             return split_halves(btr), split_halves(bte)
@@ -244,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     est_cfg = EstimatorConfig(cfg.estimator, flags=frozenset(flags))
     params = init_params(graph, seed=_rng.fold(cfg.seed, 11))
     velocity: dict = {}
-    baselines = BaselineState(seed=_rng.fold(cfg.seed, 12), idb_lr=cfg.idb_lr)
+    baselines = BaselineState(seed=_rng.fold(cfg.seed, 12))
     writer = MetricsWriter(cfg.out_dir)
     try:
         sop = cfg.task == "structured_prediction"
@@ -264,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         t_start = time.perf_counter()
 
         for epoch in range(cfg.epochs):
-            if cfg.dataset == "mnist" and cfg.binarization == "resample" and epoch > 0:
+            if cfg.dataset == "mnist" and epoch > 0:
                 (train, _unused) = _load_data(cfg, epoch_seed=_rng.fold(cfg.seed, 31, epoch))
             order = _rng.stream(cfg.seed, 32, epoch).permutation(n_train)
             for lo in range(0, n_train, cfg.batch_size):

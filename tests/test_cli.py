@@ -63,7 +63,8 @@ def test_config_file_layering(capsys, tmp_path):
     _, out = run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile),
                      "--lr", "0.1")
     assert json.loads(out)["lr"] == 0.1
-    for stale in ({"bogus": 1}, {"arch": "4-2-4", "xbar": "1/k"}):
+    for stale in ({"bogus": 1}, {"arch": "4-2-4", "xbar": "1/k"}, {"idb_lr": 0.01},
+                  {"binarization": "resample"}):
         cfgfile.write_text(json.dumps(stale))
         with pytest.raises(ValueError, match="unknown config keys"):
             run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile))

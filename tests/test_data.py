@@ -29,15 +29,6 @@ def test_idx_image_round_trip(tmp_path):
     assert np.array_equal(load_idx(p), arr)
 
 
-def test_idx_label_round_trip(tmp_path):
-    labels = np.array([0, 7, 255, 3], dtype=np.uint8)
-    p = tmp_path / "labels"
-    with open(p, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, len(labels)))
-        fh.write(labels.tobytes())
-    assert np.array_equal(load_idx(p), labels)
-
-
 def test_idx_error_reporting(tmp_path):
     p = tmp_path / "bad"
     p.write_bytes(struct.pack(">I", 0x12345))
@@ -46,11 +37,15 @@ def test_idx_error_reporting(tmp_path):
     p.write_bytes(struct.pack(">II", 0x12345, 3))
     with pytest.raises(ValueError, match="bad magic"):
         load_idx(p)
+    p.write_bytes(struct.pack(">II", 0x803, 2))
+    with pytest.raises(ValueError, match="truncated header"):
+        load_idx(p)
     p.write_bytes(struct.pack(">IIII", 0x803, 2, 3, 4) + b"\x00" * 5)
     with pytest.raises(ValueError, match="truncated payload"):
         load_idx(p)
-    p.write_bytes(struct.pack(">II", 0x801, 9) + b"\x00" * 2)
-    with pytest.raises(ValueError, match="truncated payload"):
+    # label files are not read: only images are loaded
+    p.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00" * 2)
+    with pytest.raises(ValueError, match="bad magic 0x00000801"):
         load_idx(p)
 
 

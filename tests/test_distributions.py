@@ -1,28 +1,17 @@
-"""Sampling layers: densities, scores, enumeration, moment checks."""
+"""Sampling layers: densities, scores, enumeration, mean-map adjoints, moment checks."""
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from muprop import Graph
 from muprop.distributions import BernoulliLayer, CategoricalLayer
+from muprop.estimators import HALF_CLAMP
+from muprop.graph import _SAMPLERS
 from muprop.numerics import sigmoid
-from muprop.oracle import _support
 from muprop.rng import stream
 
 mpmath.mp.dps = 40
-
-
-def support(layer):
-    """Every value of `layer`, in the oracle's enumeration order."""
-    g = Graph()
-    logits = g.parameter((layer.logits.size,))
-    if isinstance(layer, BernoulliLayer):
-        node = g.nodes[g.bernoulli(logits)]
-    else:
-        node = g.nodes[g.categorical(logits, k=layer.logits.shape[-1])]
-    return [v.reshape(layer.logits.shape) for v in _support(node)]
 
 
 def test_bernoulli_log_prob_reference_values():
@@ -34,7 +23,7 @@ def test_bernoulli_log_prob_reference_values():
     assert got == pytest.approx(want, rel=1e-14)
     # symmetric point: every outcome of n fair units has probability 2^-n
     fair = BernoulliLayer(np.zeros(3))
-    for v in support(fair):
+    for v in fair.support(fair.logits.shape):
         assert fair.log_prob(v) == pytest.approx(3 * math.log(0.5), rel=1e-15)
 
 
@@ -74,26 +63,26 @@ def test_scores_have_zero_mean_over_the_support():
     for _ in range(5):
         layer = BernoulliLayer(rng.normal(size=3))
         total = np.zeros(3)
-        for v in support(layer):
+        for v in layer.support(layer.logits.shape):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
     for _ in range(5):
         layer = CategoricalLayer(rng.normal(size=(2, 3)))
         total = np.zeros((2, 3))
-        for v in support(layer):
+        for v in layer.support(layer.logits.shape):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
 
 
 def test_support_probabilities_sum_to_one():
     layer = BernoulliLayer(np.array([0.7, -0.4, 1.3]))
-    supp = support(layer)
+    supp = layer.support(layer.logits.shape)
     assert len(supp) == 8 and len({v.tobytes() for v in supp}) == 8
     total = sum(math.exp(layer.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
 
     cat = CategoricalLayer(np.array([[0.2, -1.0, 0.5], [0.0, 0.3, -0.3]]))
-    supp = support(cat)
+    supp = cat.support(cat.logits.shape)
     assert len(supp) == 9 and len({v.tobytes() for v in supp}) == 9
     total = sum(math.exp(cat.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
@@ -131,3 +120,48 @@ def test_mean_matches_sigmoid_and_softmax():
     assert np.allclose(BernoulliLayer(logits).mean(), sigmoid(logits))
     cat = CategoricalLayer(np.array([[0.0, math.log(3.0)]]))
     assert np.allclose(cat.mean(), [[0.25, 0.75]])
+
+
+# One case per sampling family: logits in the layer's shape, and `half` hand
+# values (logits, value, adjoint, want, clamped units). The last unit or row of
+# each is an outcome too rare for its probability to survive the clamp.
+FAMILY_CASES = {
+    "bernoulli": (np.array([0.7, -0.4, 1.3]),
+                  ([0.0, 0.0, 40.0], [1.0, 1.0, 0.0], [3.0, 2.0, 1.0], [0.75, 0.5, 0.0], 1)),
+    "categorical": (np.array([[0.2, -1.0, 0.5], [0.0, 0.3, -0.3]]),
+                    ([[0.0, 0.0], [40.0, -40.0]], [[1.0, 0.0], [0.0, 1.0]],
+                     [[1.0, 0.0], [1.0, 0.0]], [[0.25, -0.25], [0.0, 0.0]], 1)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SAMPLERS))
+def test_family_protocol(op):
+    """The rules every sampling family provides, checked on its layer class."""
+    assert op in FAMILY_CASES, f"sampling family {op!r} has no case in FAMILY_CASES"
+    logits, (h_logits, h_value, h_adj, h_want, h_clamped) = FAMILY_CASES[op]
+    cls = _SAMPLERS[op].layer
+    layer = cls(logits)
+    shape = logits.shape
+
+    # mean_vjp against central differences of <adjoint, mean()>
+    adj = np.random.default_rng(7).normal(size=shape)
+    step = 1e-6
+    fd = np.zeros(shape)
+    for idx in np.ndindex(shape):
+        up, dn = logits.copy(), logits.copy()
+        up[idx] += step
+        dn[idx] -= step
+        fd[idx] = np.sum(adj * (cls(up).mean() - cls(dn).mean())) / (2 * step)
+    assert np.allclose(layer.mean_vjp(adj), fd, rtol=1e-6, atol=1e-8)
+
+    # the support: distinct values, sized from the shape alone, total
+    # probability one, scores averaging to zero
+    supp = cls.support(shape)
+    assert len(supp) == cls.support_size(shape) == len({v.tobytes() for v in supp})
+    probs = [math.exp(layer.log_prob(v)) for v in supp]
+    assert sum(probs) == pytest.approx(1.0, rel=1e-14)
+    mean_score = sum(p * layer.score(v) for p, v in zip(probs, supp))
+    assert np.allclose(mean_score, 0.0, atol=1e-14)
+
+    got, clamped = cls(np.array(h_logits)).half(np.array(h_value), np.array(h_adj), HALF_CLAMP)
+    assert np.allclose(got, h_want, atol=1e-15) and clamped == h_clamped

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from muprop import Graph, Kind, Mode, backward, forward, gradients, mean_vjp
+from muprop import Graph, Kind, Mode, backward, forward, gradients
 from muprop.graph import _OPS
-from muprop.numerics import sigmoid, softmax
+from muprop.numerics import sigmoid
 
 from helpers import det_graph, mf_fd_max_err
 
@@ -104,47 +104,11 @@ def test_backward_seed_linearity_and_interior_seeds():
 def test_non_finite_detection_toggle():
     g = Graph()
     x = g.input((), "x")
-    c = g.cost(g.log(x))
+    c = g.cost(g.square(x))
     with pytest.raises(ValueError, match="non-finite"):
-        forward(g, {"x": -1.0}, mode=Mode.MEAN_FIELD)
-    tr = forward(g, {"x": -1.0}, mode=Mode.MEAN_FIELD, validate=False)
-    assert np.isnan(tr.values[c])
-
-
-def test_mean_vjp_matches_numeric_jacobian():
-    rng = np.random.default_rng(7)
-    for trial in range(5):
-        logits = rng.normal(size=3)
-        adj = rng.normal(size=3)
-        g = Graph()
-        th = g.parameter((3,), "th")
-        node = g.nodes[g.bernoulli(th)]
-        got = mean_vjp(node, logits, adj)
-        eps = 1e-6
-        num = np.zeros(3)
-        for j in range(3):
-            up, dn = logits.copy(), logits.copy()
-            up[j] += eps
-            dn[j] -= eps
-            num[j] = adj @ (sigmoid(up) - sigmoid(dn)) / (2 * eps)
-        assert np.allclose(got, num, atol=1e-8), trial
-
-    for trial in range(5):
-        logits = rng.normal(size=(2, 3))
-        adj = rng.normal(size=(2, 3))
-        g = Graph()
-        th = g.parameter((6,), "th")
-        node = g.nodes[g.categorical(th, k=3)]
-        got = mean_vjp(node, logits.ravel(), adj.ravel()).reshape(2, 3)
-        eps = 1e-6
-        num = np.zeros((2, 3))
-        for u in range(2):
-            for j in range(3):
-                up, dn = logits.copy(), logits.copy()
-                up[u, j] += eps
-                dn[u, j] -= eps
-                num[u, j] = np.sum(adj[u] * (softmax(up[u]) - softmax(dn[u]))) / (2 * eps)
-        assert np.allclose(got, num, atol=1e-8), trial
+        forward(g, {"x": 1e200}, mode=Mode.MEAN_FIELD)
+    tr = forward(g, {"x": 1e200}, mode=Mode.MEAN_FIELD, validate=False)
+    assert np.isinf(tr.values[c])
 
 
 def test_adjoints_match_finite_differences_on_random_graphs():
@@ -204,21 +168,34 @@ def test_node_ids_out_of_range_are_rejected():
     assert g.node_id(np.int64(h)) == h
 
 
-# One case per op-table entry, plus grouped softmax ("softmax:k"):
+def test_non_integer_node_ids_are_rejected():
+    g = Graph()
+    th = g.parameter((2,), "th")
+    h = g.bernoulli(th)
+    params = {"th": np.zeros(2)}
+    assert h == 1
+    for bad in (1.7, True, np.float64(1.2), np.True_, 1.0):
+        with pytest.raises(TypeError, match="integer"):
+            g.node_id(bad)
+        with pytest.raises(TypeError, match="integer"):
+            forward(g, params=params, forced={bad: np.ones(2)})
+    assert g.node_id(1) == g.node_id(np.int32(1)) == g.node_id(np.uint8(1)) == h
+
+
+# One case per op-table entry (softmax as one group over the whole vector),
+# plus softmax over several groups ("softmax:k"):
 # (parent shapes, attributes, parent shapes the op's shape rule rejects).
 OP_CASES = {
     "affine": ([(3,), (2, 3), (2,)], {}, [(3,), (2, 2), (2,)]),
     "sigmoid": ([(3,)], {}, [(3,), (3,)]),
     "tanh": ([(3,)], {}, [(3,), (3,)]),
-    "softmax": ([(4,)], {}, [(4,), (4,)]),
+    "softmax": ([(4,)], {"k": 4}, [(4,), (4,)]),
     "softplus": ([(3,)], {}, [(3,), (3,)]),
     "add": ([(3,), (3,)], {}, [(3,), (2,)]),
     "sub": ([(3,), (3,)], {}, [(3,), (2,)]),
     "mul": ([(3,), (3,)], {}, [(3,), (2,)]),
     "sum": ([(3,)], {}, [(3,), (3,)]),
     "mean": ([(3,)], {}, [(3,), (3,)]),
-    "log": ([(3,)], {}, [(3,), (3,)]),
-    "exp": ([(3,)], {}, [(3,), (3,)]),
     "logsumexp": ([(6,)], {"k": 3}, [(5,)]),
     "concat": ([(2,), (), (3,)], {}, [(2,), (2, 2)]),
     "slice": ([(5,)], {"span": (1, 4)}, [(3,)]),
@@ -239,7 +216,6 @@ def test_every_op_vjp_matches_central_differences(case):
     g = Graph()
     parents = [g.input(s) for s in pshapes]
     out = g._add(Kind.DETERMINISTIC, op, parents, **attrs)
-    # positive operands keep `log` defined
     inputs = {p: rng.uniform(0.5, 1.5, s) for p, s in zip(parents, pshapes)}
     adjoint = rng.normal(size=g.nodes[out].shape)
     trace = forward(g, inputs, mode=Mode.MEAN_FIELD)

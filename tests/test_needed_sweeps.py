@@ -231,7 +231,7 @@ def test_barriers_end_liveness_unless_a_vjp_passes_them():
     assert g.liveness([th], frozenset(), False)[h]  # mean-field trace
     assert backward(g, drawn, {c: np.ones(())}, need=[th])[th] is None
 
-    def vjp(node, logits, value, adj):
+    def vjp(layer, value, adj):
         return 2.0 * adj
 
     adj = backward(g, drawn, {c: np.ones(())}, stochastic_vjp=vjp, need=[th])

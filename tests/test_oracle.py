@@ -15,6 +15,7 @@ from muprop import (
 from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
+from muprop.distributions import BernoulliLayer, CategoricalLayer
 from muprop.estimators import BaselineState, IdbNet
 from muprop.oracle import (
     MAX_CONFIGS,
@@ -70,6 +71,22 @@ def test_enumeration_guard_rejects_oversized_supports():
     det.cost(det.square(det.parameter((), "w")))
     with pytest.raises(ValueError, match="no stochastic"):
         list(enumerate_configs(det))
+
+
+def test_oversized_supports_are_counted_from_shapes(monkeypatch):
+    g = Graph()
+    h = g.bernoulli(g.parameter((64,), "th"))
+    c = g.categorical(g.parameter((30,), "tc"), k=3)
+    g.cost(g.sum(g.concat(h, c)))
+
+    def built(shape):
+        raise AssertionError(f"support of shape {shape} built")
+
+    for cls in (BernoulliLayer, CategoricalLayer):
+        monkeypatch.setattr(cls, "support", staticmethod(built))
+    assert config_count(g) == 2**64 * 3**10
+    with pytest.raises(ValueError, match=f"{2**64 * 3**10} configurations"):
+        list(enumerate_configs(g))
 
 
 def test_estimator_expectations_single_unit():
