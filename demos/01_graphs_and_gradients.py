@@ -36,7 +36,7 @@ print("\nstochastic: hard samples, reproducible per seed")
 for seed in (0, 1, 0):
     tr = forward(g, inputs, params, rng_seed=seed)
     print(f"  seed {seed}: h = {tr.values[h]}, cost = {tr.cost_value(cost):.4f}, "
-          f"log p(h) = {sum(tr.logprobs.values()):.4f}")
+          f"log p(h) = {tr.logprob:.4f}")
 
 tr = forward(g, inputs, params, rng_seed=0)
 grads = gradients(g, cost, [w, v], tr)
@@ -46,7 +46,7 @@ print("  d cost / d v still flows:", np.round(grads[v], 4))
 print("\nforced: pin the outcome to evaluate a chosen configuration")
 tr = forward(g, inputs, params, forced={h: np.array([1.0, 0.0])})
 print("  cost at h=[1,0]:", round(tr.cost_value(cost), 6))
-print("  log p of that outcome:", round(sum(tr.logprobs.values()), 6))
+print("  log p of that outcome:", round(tr.logprob, 6))
 
 print("\nadjoints from custom seeds (here: d of the hidden sum, not the cost)")
 adj = backward(g, mf, {h: np.ones(2)})

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,55 +20,25 @@ from .oracle import (
 from .training import ExperimentConfig, run_experiment, run_sweep
 
 # Larger presets for full-scale runs; these need an on-disk image dataset.
+_FULL_SCALE = {"dataset": "mnist", "batch_size": 100, "epochs": 200, "train_size": 60000,
+               "eval_size": 10000, "eval_samples": 100}
 EXTENDED_PROFILES = {
-    "sop-mnist": {
-        "task": "structured_prediction",
-        "arch": "392-200-200-392",
-        "dataset": "mnist",
-        "batch_size": 100,
-        "epochs": 200,
-        "train_size": 60000,
-        "eval_size": 10000,
-        "eval_samples": 100,
-    },
-    "sbn-mnist-1": {
-        "task": "variational",
-        "arch": "200-784",
-        "dataset": "mnist",
-        "batch_size": 100,
-        "epochs": 200,
-        "train_size": 60000,
-        "eval_size": 10000,
-        "eval_samples": 100,
-    },
-    "sbn-mnist-2": {
-        "task": "variational",
-        "arch": "200-200-784",
-        "dataset": "mnist",
-        "batch_size": 100,
-        "epochs": 200,
-        "train_size": 60000,
-        "eval_size": 10000,
-        "eval_samples": 100,
-    },
-    "sbn-mnist-cat": {
-        "task": "variational",
-        "arch": "200x10-784",
-        "dataset": "mnist",
-        "batch_size": 100,
-        "epochs": 200,
-        "train_size": 60000,
-        "eval_size": 10000,
-        "eval_samples": 100,
-    },
+    name: {"task": task, "arch": arch, **_FULL_SCALE}
+    for name, task, arch in (
+        ("sop-mnist", "structured_prediction", "392-200-200-392"),
+        ("sbn-mnist-1", "variational", "200-784"),
+        ("sbn-mnist-2", "variational", "200-200-784"),
+        ("sbn-mnist-cat", "variational", "200x10-784"),
+    )
 }
 
 
 def _parse_flags(text: str) -> tuple:
-    return tuple(p for p in text.split(",") if p) if text else ()
+    return tuple(p for p in text.split(",") if p)
 
 
 def _build_train_config(args) -> ExperimentConfig:
+    """Profile, then `--config` file, then every flag given; each flag's dest is its field."""
     base: dict = {}
     if args.extended:
         if args.extended not in EXTENDED_PROFILES:
@@ -76,28 +47,8 @@ def _build_train_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             base.update(json.load(fh))
-    overrides = {
-        "task": args.task,
-        "arch": args.arch,
-        "estimator": args.estimator,
-        "flags": _parse_flags(args.flags) if args.flags is not None else None,
-        "lr": args.lr,
-        "momentum": args.momentum,
-        "batch_size": args.batch,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "dataset": args.dataset,
-        "data_dir": args.data_dir,
-        "out_dir": args.out_dir,
-        "eval_samples": args.eval_samples,
-        "train_size": args.train_size,
-        "eval_size": args.eval_size,
-        "m_train": args.m,
-        "max_steps": args.steps,
-        "log_every": args.log_every,
-        "eval_every": args.eval_every,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    given = ((f.name, getattr(args, f.name)) for f in dataclasses.fields(ExperimentConfig))
+    base.update((name, value) for name, value in given if value is not None)
     return ExperimentConfig.from_dict(base)
 
 
@@ -168,13 +119,13 @@ def main(argv=None) -> int:
     tr.add_argument("--task", choices=("structured_prediction", "variational"))
     tr.add_argument("--arch")
     tr.add_argument("--estimator", choices=ESTIMATORS)
-    tr.add_argument("--flags", help="comma-separated baseline flags: c,vn,idb")
+    tr.add_argument("--flags", type=_parse_flags, help="comma-separated baseline flags: c,vn,idb")
     tr.add_argument("--lr", type=float)
     tr.add_argument("--sweep", help="comma-separated learning rates to sweep")
     tr.add_argument("--momentum", type=float)
-    tr.add_argument("--batch", type=int)
+    tr.add_argument("--batch", type=int, dest="batch_size")
     tr.add_argument("--epochs", type=int)
-    tr.add_argument("--steps", type=int, help="hard cap on update steps")
+    tr.add_argument("--steps", type=int, dest="max_steps", help="hard cap on update steps")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--dataset", choices=("synthetic", "mnist"))
     tr.add_argument("--data-dir")
@@ -182,7 +133,7 @@ def main(argv=None) -> int:
     tr.add_argument("--eval-samples", type=int)
     tr.add_argument("--train-size", type=int)
     tr.add_argument("--eval-size", type=int)
-    tr.add_argument("--m", type=int, help="objective samples per example")
+    tr.add_argument("--m", type=int, dest="m_train", help="objective samples per example")
     tr.add_argument("--log-every", type=int)
     tr.add_argument("--eval-every", type=int)
     tr.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")

@@ -1,41 +1,52 @@
 """Discrete sampling layers parameterized by logits, one class per family.
 
 Both layers expose `mean`, `sample`, `log_prob`, `score` (the gradient of the
-log-density with respect to the logits, which has the closed form value - mean
-for both families), `mean_vjp` (the adjoint through the mean map), `half`
-(the rescaled-derivative logit adjoint), and the enumeration `support` /
-`support_size`, which depend only on the logits' shape. Logits are the only
-parameterization; probabilities never appear in interfaces.
+log-density with respect to the logits, value - mean for both families),
+`mean_vjp` (the adjoint through the mean map), `half` (the rescaled-derivative
+logit adjoint), and the enumeration `support` / `support_size`, which depend
+only on the node's width and group width `k`. Every array a layer takes or
+returns is in its node's 1-D shape; `CategoricalLayer` groups it into rows of
+`k` internally. A layer computes its mean at most once, on first use, so
+`sample`, `score`, `mean_vjp` and `half` share it.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import as_tensor, logsumexp, sigmoid, softmax, softmax_adjoint, softplus
 
 
-@dataclass(frozen=True)
-class BernoulliLayer:
-    """Vector of independent binary units, P(x_i = 1) = sigmoid(logits_i)."""
+class _Layer:
+    """Logits in the node's shape, and the group width `k` of a grouped family."""
 
-    logits: np.ndarray  # shape [n]
+    def __init__(self, logits: np.ndarray, k: int | None = None):
+        self.logits = logits
+        self.k = k
+        self._mean: np.ndarray | None = None
+
+    def _check_shape(self, value: np.ndarray) -> np.ndarray:
+        value = as_tensor(value)
+        if value.shape != self.logits.shape:
+            raise ValueError(f"value shape {value.shape} != logits shape {self.logits.shape}")
+        return value
+
+
+class BernoulliLayer(_Layer):
+    """Vector of independent binary units, P(x_i = 1) = sigmoid(logits_i); ungrouped (`k` is None)."""
 
     def mean(self) -> np.ndarray:
-        return sigmoid(self.logits)
+        if self._mean is None:
+            self._mean = sigmoid(self.logits)
+        return self._mean
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.logits.shape)
         return (u < self.mean()).astype(np.float64)
 
     def validate(self, value: np.ndarray) -> np.ndarray:
-        value = as_tensor(value)
-        if value.shape != self.logits.shape:
-            raise ValueError(
-                f"value shape {value.shape} != logits shape {self.logits.shape}"
-            )
+        value = self._check_shape(value)
         if not np.all((value == 0.0) | (value == 1.0)):
             raise ValueError("binary layer value must be exactly 0/1")
         return value
@@ -62,53 +73,50 @@ class BernoulliLayer:
         return adj * m * (1.0 - m) / (2.0 * np.maximum(p, clamp)), int(np.count_nonzero(p < clamp))
 
     @staticmethod
-    def support_size(shape) -> int:
-        return 2 ** shape[0]
+    def support_size(width: int, k: int | None = None) -> int:
+        return 2 ** width
 
     @staticmethod
-    def support(shape) -> list[np.ndarray]:
+    def support(width: int, k: int | None = None) -> list[np.ndarray]:
         """Every value, in binary counting order (unit 0 is the lowest bit)."""
-        return [np.array(bits[::-1]) for bits in itertools.product((0.0, 1.0), repeat=shape[0])]
+        return [np.array(bits[::-1]) for bits in itertools.product((0.0, 1.0), repeat=width)]
 
 
-@dataclass(frozen=True)
-class CategoricalLayer:
-    """Rows of independent k-way units; values are one-hot rows.
+class CategoricalLayer(_Layer):
+    """Independent k-way units, P(unit u takes category j) = softmax(logits[uk : uk+k])_j.
 
-    P(unit u takes category j) = softmax(logits[u])_j. Sampling inverts the
-    per-row CDF so a single uniform draw per unit decides the category.
+    Values are one-hot groups. Sampling inverts each unit's CDF, so one
+    uniform draw per unit decides its category.
     """
 
-    logits: np.ndarray  # shape [u, k]
+    def _rows(self, a: np.ndarray) -> np.ndarray:
+        """A node-shaped array as one row of `k` entries per unit."""
+        return a.reshape(-1, self.k)
 
     def mean(self) -> np.ndarray:
-        return softmax(self.logits, axis=-1)
+        if self._mean is None:
+            self._mean = softmax(self._rows(self.logits), axis=-1).reshape(self.logits.shape)
+        return self._mean
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        probs = self.mean()
-        cdf = np.cumsum(probs, axis=-1)
-        r = rng.random((self.logits.shape[0], 1))
-        idx = np.minimum((cdf <= r).sum(axis=-1), self.logits.shape[1] - 1)
-        return np.eye(self.logits.shape[1])[idx]
+        cdf = np.cumsum(self._rows(self.mean()), axis=-1)
+        r = rng.random((cdf.shape[0], 1))
+        idx = np.minimum((cdf <= r).sum(axis=-1), self.k - 1)
+        return np.eye(self.k)[idx].reshape(self.logits.shape)
 
     def validate(self, value: np.ndarray) -> np.ndarray:
-        value = as_tensor(value)
-        if value.shape != self.logits.shape:
-            raise ValueError(
-                f"value shape {value.shape} != logits shape {self.logits.shape}"
-            )
-        one_hot = np.all((value == 0.0) | (value == 1.0)) and np.all(
-            value.sum(axis=-1) == 1.0
-        )
-        if not one_hot:
-            raise ValueError("categorical layer value must be one-hot rows")
+        value = self._check_shape(value)
+        binary = np.all((value == 0.0) | (value == 1.0))
+        if not (binary and np.all(self._rows(value).sum(axis=-1) == 1.0)):
+            raise ValueError("categorical layer value must be one-hot groups")
         return value
 
     def log_prob(self, value: np.ndarray, checked: bool = False) -> float:
         if not checked:
             value = self.validate(value)
-        picked = np.sum(self.logits * value, axis=-1)
-        return float(np.sum(picked - logsumexp(self.logits, axis=-1)))
+        rows = self._rows(self.logits)
+        picked = np.sum(rows * self._rows(value), axis=-1)
+        return float(np.sum(picked - logsumexp(rows, axis=-1)))
 
     def score(self, value: np.ndarray, checked: bool = False) -> np.ndarray:
         if not checked:
@@ -116,23 +124,23 @@ class CategoricalLayer:
         return value - self.mean()
 
     def mean_vjp(self, adj: np.ndarray) -> np.ndarray:
-        return softmax_adjoint(self.mean(), adj, self.logits.shape[-1])
+        return softmax_adjoint(self.mean(), adj, self.k)
 
     def half(self, value: np.ndarray, adj: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
         """[adj . (x - 1/k)] * dP(x)/dl / P(x) per unit, and the count of P(x) below `clamp`."""
-        probs = self.mean()
-        coeff = np.sum(adj * (value - 1.0 / self.logits.shape[-1]), axis=-1, keepdims=True)
+        probs, value, adj = self._rows(self.mean()), self._rows(value), self._rows(adj)
+        coeff = np.sum(adj * (value - 1.0 / self.k), axis=-1, keepdims=True)
         sel_p = np.sum(probs * value, axis=-1, keepdims=True)  # P(x), per unit
         jac_sel = sel_p * (value - probs)  # d P(x) / d logits, per unit
-        return coeff * jac_sel / np.maximum(sel_p, clamp), int(np.count_nonzero(sel_p < clamp))
+        g = coeff * jac_sel / np.maximum(sel_p, clamp)
+        return g.reshape(self.logits.shape), int(np.count_nonzero(sel_p < clamp))
 
     @staticmethod
-    def support_size(shape) -> int:
-        return shape[1] ** shape[0]
+    def support_size(width: int, k: int) -> int:
+        return k ** (width // k)
 
     @staticmethod
-    def support(shape) -> list[np.ndarray]:
+    def support(width: int, k: int) -> list[np.ndarray]:
         """Every value, in `itertools.product` order over the units' categories."""
-        units, k = shape
         eye = np.eye(k)
-        return [eye[list(idx)] for idx in itertools.product(range(k), repeat=units)]
+        return [eye[list(idx)].reshape(width) for idx in itertools.product(range(k), repeat=width // k)]

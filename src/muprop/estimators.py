@@ -232,31 +232,29 @@ def _score_estimate(
     node_diag: dict[int, dict] = {}
     for sids, anchor in groups:
         for sid in sids:
-            node = graph.nodes[sid]
-            lp = node.parents[0]
-            layer = graph.layer(node, trace.values[lp])
+            layer = trace.layers[sid]
             x = trace.values[sid]
-            score = layer.score(x.reshape(layer.logits.shape), checked=True).reshape(node.shape)
+            score = layer.score(x, checked=True)
             if anchor is None:
                 signal, d = f, {}
             else:
                 values, adj, anchor_cost = anchor
-                gbar = np.zeros(node.shape) if adj[sid] is None else as_tensor(adj[sid])
+                gbar = np.zeros(x.shape) if adj[sid] is None else as_tensor(adj[sid])
                 signal = f - anchor_cost - float(np.dot(gbar.ravel(), (x - values[sid]).ravel()))
                 d = {"residual": signal, "anchor_cost": anchor_cost}
             adjusted = apply_baselines(signal, sid, state, flags, idb_pred, diag=d)
             node_diag[sid] = d
             seed = score * adjusted
             if anchor is not None:
-                seed = seed + layer.mean_vjp(gbar.reshape(layer.logits.shape)).reshape(node.shape)
-            _add_seed(seeds, lp, seed)
+                seed = seed + layer.mean_vjp(gbar)
+            _add_seed(seeds, graph.nodes[sid].parents[0], seed)
     if "idb" in flags:
         raws = [d["signal"] for d in node_diag.values()]
         target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
         idb_update(state, x_in, target, IDB_LR)
     return GradientEstimate(
         _param_grads(graph, trace, seeds), f, node_diag,
-        logprob=sum(trace.logprobs.values()), **fields,
+        logprob=trace.logprob, **fields,
     )
 
 
@@ -396,7 +394,7 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     _check_stochastic_trace(graph, trace)
 
     grads = _param_grads(graph, trace, {cost: np.ones(())}, lambda layer, x, a: layer.mean_vjp(a))
-    return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=sum(trace.logprobs.values()))
+    return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=trace.logprob)
 
 
 def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
@@ -422,7 +420,7 @@ def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
         trace.cost_value(cost),
         {},
         extra={"clamped_units": clamped},
-        logprob=sum(trace.logprobs.values()),
+        logprob=trace.logprob,
     )
 
 

@@ -67,11 +67,14 @@ class Node:
 
 @dataclass
 class Trace:
-    """Record of one forward evaluation: every node's value plus sampling info."""
+    """One forward evaluation: every node's value, each stochastic node's layer
+    (built once per pass), the log-probability of the drawn and forced samples
+    (0.0 in mean-field mode) and the drawn or forced nodes (`barriers`)."""
 
     mode: Mode
     values: list[np.ndarray]
-    logprobs: dict[int, float]
+    layers: dict[int, BernoulliLayer | CategoricalLayer]
+    logprob: float
     barriers: frozenset[int]
 
     def cost_value(self, node_id: int) -> float:
@@ -209,11 +212,6 @@ class Graph:
             ids = self._ids[kind] = tuple(n.id for n in self.nodes if n.kind == kind)
         return list(ids)
 
-    def layer(self, node: Node, logits: np.ndarray):
-        """Distribution object for a stochastic node given its logit tensor."""
-        cls, shape = layer_type(node)
-        return cls(logits.reshape(shape))
-
     def liveness(self, need, barriers: frozenset, through_barriers: bool) -> list[bool]:
         """Which nodes a sweep that reads only `need` (ids or names) must visit.
 
@@ -258,12 +256,7 @@ class Op(NamedTuple):
 
 class Sampler(NamedTuple):
     shape: Callable[[list, dict], tuple]
-    layer: type  # takes the logits, as [units, k] rows when the node has k
-
-
-def layer_type(node: Node) -> tuple[type, tuple[int, ...]]:
-    """A stochastic node's layer class and the logits shape the class takes."""
-    return _SAMPLERS[node.op].layer, ((node.shape[0] // node.k, node.k) if node.k else node.shape)
+    layer: type  # built from the node's logits and its `k`
 
 
 def _shape_rule(kind: Kind, op):
@@ -452,7 +445,8 @@ def forward(
 
     n = len(graph.nodes)
     values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    logprobs: dict[int, float] = {}
+    layers: dict[int, BernoulliLayer | CategoricalLayer] = {}
+    logprob = 0.0
     barriers: set[int] = set()
     gen = None  # one stream per pass; nodes draw from it in topological order
 
@@ -482,22 +476,23 @@ def forward(
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)
             elif k == Kind.STOCHASTIC:
-                layer = graph.layer(node, values[node.parents[0]])
+                layer = layers[node.id] = _SAMPLERS[node.op].layer(values[node.parents[0]], node.k)
                 if node.id in forced:
-                    raw = layer.validate(forced[node.id].reshape(layer.logits.shape))
+                    try:
+                        v = layer.validate(forced[node.id])
+                    except ValueError as err:
+                        raise ValueError(f"forced value for node {node.id}: {err}") from None
                     if mode == Mode.STOCHASTIC:
-                        logprobs[node.id] = layer.log_prob(raw, checked=True)
-                    v = raw.reshape(node.shape)
+                        logprob += layer.log_prob(v, checked=True)
                     barriers.add(node.id)
                 elif mode == Mode.STOCHASTIC:
                     if gen is None:
                         gen = _rng.stream(rng_seed)
-                    draw = layer.sample(gen)
-                    logprobs[node.id] = layer.log_prob(draw, checked=True)
-                    v = draw.reshape(node.shape)
+                    v = layer.sample(gen)
+                    logprob += layer.log_prob(v, checked=True)
                     barriers.add(node.id)
                 else:
-                    v = layer.mean().reshape(node.shape)
+                    v = layer.mean()
             else:  # COST
                 v = values[node.parents[0]]
 
@@ -505,7 +500,7 @@ def forward(
                 raise ValueError(f"non-finite value produced at node {node.id}")
             values[node.id] = v
 
-    return Trace(mode, values, logprobs, frozenset(barriers))
+    return Trace(mode, values, layers, logprob, frozenset(barriers))
 
 
 # -- reverse mode --------------------------------------------------------------
@@ -523,7 +518,7 @@ def backward(
     A stochastic node that is not a barrier passes its adjoint on through its
     layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,
     when given, replaces the barrier behavior at drawn stochastic nodes; its
-    arrays are in the layer's logits shape.
+    arrays are in the node's shape. Both read the layer the trace holds.
 
     `need` lists the nodes whose adjoints the caller reads; None means every
     node. Only live nodes (see `Graph.liveness`) are swept, and a node skips
@@ -545,11 +540,10 @@ def backward(
         adj[sid] = v if adj[sid] is None else adj[sid] + v
 
     def sampler_vjp(node, values, a, j):
-        layer = graph.layer(node, values[node.parents[0]])
-        a = a.reshape(layer.logits.shape)
+        layer = trace.layers[node.id]
         if node.id in trace.barriers:
-            return stochastic_vjp(layer, values[node.id].reshape(a.shape), a).reshape(node.shape)
-        return layer.mean_vjp(a).reshape(node.shape)
+            return stochastic_vjp(layer, values[node.id], a)
+        return layer.mean_vjp(a)
 
     values = trace.values
     with np.errstate(all="ignore"):

@@ -222,49 +222,31 @@ def evaluate_nll(
     models: the Monte Carlo average of the negative bound.
     """
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
-    task = graph.meta["task"]
-    cost = graph.meta["cost"]
     if n_samples < 1:
         raise ValueError("need at least one evaluation sample")
-
-    if task == "structured_prediction":
+    # what one pass yields, and how an example's n_samples values reduce to its NLL
+    if graph.meta["task"] == "structured_prediction":
         X, Y = data
-        if len(X) == 0:
-            raise ValueError("empty evaluation set")
-        logp_nodes = list(graph.meta["logp_nodes"])
-        m = len(logp_nodes)
-        rounds = -(-n_samples // m)
-        total = 0.0
-        for i in range(len(X)):
-            vals = []
-            for r in range(rounds):
-                tr = forward(
-                    graph,
-                    {"x": X[i], "y": Y[i]},
-                    params,
-                    mode=Mode.STOCHASTIC,
-                    rng_seed=_rng.fold(seed, i, r),
-                    validate=False,
-                )
-                vals.extend(float(tr.values[n]) for n in logp_nodes)
-            total += -log_mean_exp(np.array(vals[:n_samples]))
-        return total / len(X)
+        reads = graph.meta["logp_nodes"]  # the m log p(y | h_s) of the pass
 
-    X = data[0] if isinstance(data, tuple) else data
+        def reduce(vals):
+            return -log_mean_exp(np.array(vals))
+    else:
+        X, Y = (data[0] if isinstance(data, tuple) else data), None
+        reads = (graph.meta["cost"],)
+
+        def reduce(vals):
+            return sum(vals) / n_samples
     if len(X) == 0:
         raise ValueError("empty evaluation set")
+    rounds = -(-n_samples // len(reads))
     total = 0.0
     for i in range(len(X)):
-        acc = 0.0
-        for s in range(n_samples):
-            tr = forward(
-                graph,
-                {"x": X[i]},
-                params,
-                mode=Mode.STOCHASTIC,
-                rng_seed=_rng.fold(seed, i, s),
-                validate=False,
-            )
-            acc += tr.cost_value(cost)
-        total += acc / n_samples
+        inputs = {"x": X[i]} if Y is None else {"x": X[i], "y": Y[i]}
+        vals = []
+        for r in range(rounds):
+            tr = forward(graph, inputs, params, mode=Mode.STOCHASTIC,
+                         rng_seed=_rng.fold(seed, i, r), validate=False)
+            vals.extend(float(tr.values[n]) for n in reads)
+        total += reduce(vals[:n_samples])
     return total / len(X)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
-from .graph import Graph, Mode, backward, forward, layer_type
+from .graph import _SAMPLERS, Graph, Mode, backward, forward
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
@@ -39,17 +39,20 @@ def enumerate_configs(graph: Graph):
     count = config_count(graph)
     if count > MAX_CONFIGS:
         raise ValueError(f"joint support has {count} configurations (limit {MAX_CONFIGS})")
-    types = [layer_type(graph.nodes[s]) for s in sids]
-    # stochastic nodes are 1-D, so each value flattens to its node's shape
-    supports = [[v.reshape(-1) for v in cls.support(shape)] for cls, shape in types]
+    supports = [cls.support(width, k) for cls, width, k in _families(graph)]
     for combo in itertools.product(*supports):
         yield dict(zip(sids, combo))
 
 
 def config_count(graph: Graph) -> int:
     """Size of the joint support, from the nodes' shapes alone."""
-    types = [layer_type(graph.nodes[s]) for s in graph.stochastic_ids]
-    return math.prod(cls.support_size(shape) for cls, shape in types)
+    return math.prod(cls.support_size(width, k) for cls, width, k in _families(graph))
+
+
+def _families(graph: Graph) -> list[tuple[type, int, int | None]]:
+    """Each stochastic node's layer class, width and group width `k`."""
+    nodes = [graph.nodes[s] for s in graph.stochastic_ids]
+    return [(_SAMPLERS[n.op].layer, n.shape[0], n.k) for n in nodes]
 
 
 def exact_expected_cost_and_grad(
@@ -72,7 +75,7 @@ def exact_expected_cost_and_grad(
         trace = forward(
             graph, inputs, params, mode=Mode.STOCHASTIC, forced=cfg, validate=n == 0
         )
-        p = math.exp(sum(trace.logprobs.values()))
+        p = math.exp(trace.logprob)
         f = trace.cost_value(cost)
         total_cost += p * f
         total_p += p
@@ -81,11 +84,8 @@ def exact_expected_cost_and_grad(
             continue
         seeds = {cost: np.full((), p)}
         for sid in graph.stochastic_ids:
-            node = graph.nodes[sid]
-            layer = graph.layer(node, trace.values[node.parents[0]])
-            score = layer.score(cfg[sid].reshape(layer.logits.shape), checked=True).reshape(node.shape)
-            lp = node.parents[0]
-            contrib = p * f * score
+            lp = graph.nodes[sid].parents[0]
+            contrib = p * f * trace.layers[sid].score(trace.values[sid], checked=True)
             seeds[lp] = seeds[lp] + contrib if lp in seeds else contrib
         adj = backward(graph, trace, seeds, need=wrt)
         for w in wrt:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from muprop.cli import EXTENDED_PROFILES, main
+from muprop.training import ExperimentConfig
 
 from helpers import child_env
 
@@ -51,6 +52,20 @@ def test_profile_resolution_and_flag_precedence(capsys, tmp_path):
     assert json.loads(out)["epochs"] == 3
     with pytest.raises(SystemExit):
         run_cli(capsys, "train", "--dry-run", "--extended", "nope")
+
+
+def test_every_config_field_has_its_flag(capsys):
+    argv = ["--task", "variational", "--arch", "4-2x2-4", "--estimator", "lr",
+            "--flags", "c,vn", "--lr", "0.3", "--momentum", "0.5", "--batch", "7",
+            "--epochs", "2", "--seed", "4", "--dataset", "mnist", "--data-dir", "d",
+            "--out-dir", "o", "--train-size", "5", "--eval-size", "6",
+            "--eval-samples", "3", "--m", "2", "--log-every", "2", "--eval-every", "3",
+            "--steps", "9"]
+    _, out = run_cli(capsys, "train", "--dry-run", *argv)
+    cfg = json.loads(out)
+    default = ExperimentConfig().to_dict()
+    assert len(cfg) == 19 and all(cfg[k] != default[k] for k in default)
+    assert (cfg["batch_size"], cfg["m_train"], cfg["max_steps"]) == (7, 2, 9)
 
 
 def test_config_file_layering(capsys, tmp_path):

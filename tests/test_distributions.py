@@ -23,7 +23,7 @@ def test_bernoulli_log_prob_reference_values():
     assert got == pytest.approx(want, rel=1e-14)
     # symmetric point: every outcome of n fair units has probability 2^-n
     fair = BernoulliLayer(np.zeros(3))
-    for v in fair.support(fair.logits.shape):
+    for v in fair.support(3):
         assert fair.log_prob(v) == pytest.approx(3 * math.log(0.5), rel=1e-15)
 
 
@@ -43,18 +43,21 @@ def test_bernoulli_validation():
 
 
 def test_categorical_log_prob_and_validation():
-    logits = np.array([[0.0, 1.0, -1.0], [2.0, 0.0, 0.0]])
-    layer = CategoricalLayer(logits)
-    v = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    logits = np.array([0.0, 1.0, -1.0, 2.0, 0.0, 0.0])
+    layer = CategoricalLayer(logits, 3)
+    v = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
     want = float(
         mpmath.log(mpmath.exp(1) / (1 + mpmath.exp(1) + mpmath.exp(-1)))
         + mpmath.log(mpmath.exp(2) / (mpmath.exp(2) + 2))
     )
     assert layer.log_prob(v) == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError, match="one-hot"):
-        layer.log_prob(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        layer.log_prob(np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="shape"):
-        layer.log_prob(np.ones((1, 3)))
+        layer.log_prob(np.ones(3))
+    # a value in the [units, k] layout is not in the node's shape
+    with pytest.raises(ValueError, match="shape"):
+        layer.log_prob(v.reshape(2, 3))
 
 
 def test_scores_have_zero_mean_over_the_support():
@@ -63,26 +66,26 @@ def test_scores_have_zero_mean_over_the_support():
     for _ in range(5):
         layer = BernoulliLayer(rng.normal(size=3))
         total = np.zeros(3)
-        for v in layer.support(layer.logits.shape):
+        for v in layer.support(3):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
     for _ in range(5):
-        layer = CategoricalLayer(rng.normal(size=(2, 3)))
-        total = np.zeros((2, 3))
-        for v in layer.support(layer.logits.shape):
+        layer = CategoricalLayer(rng.normal(size=6), 3)
+        total = np.zeros(6)
+        for v in layer.support(6, 3):
             total += math.exp(layer.log_prob(v)) * layer.score(v)
         assert np.allclose(total, 0.0, atol=1e-14)
 
 
 def test_support_probabilities_sum_to_one():
     layer = BernoulliLayer(np.array([0.7, -0.4, 1.3]))
-    supp = layer.support(layer.logits.shape)
+    supp = layer.support(3)
     assert len(supp) == 8 and len({v.tobytes() for v in supp}) == 8
     total = sum(math.exp(layer.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
 
-    cat = CategoricalLayer(np.array([[0.2, -1.0, 0.5], [0.0, 0.3, -0.3]]))
-    supp = cat.support(cat.logits.shape)
+    cat = CategoricalLayer(np.array([0.2, -1.0, 0.5, 0.0, 0.3, -0.3]), 3)
+    supp = cat.support(6, 3)
     assert len(supp) == 9 and len({v.tobytes() for v in supp}) == 9
     total = sum(math.exp(cat.log_prob(v)) for v in supp)
     assert total == pytest.approx(1.0, rel=1e-14)
@@ -98,7 +101,7 @@ def test_sampling_moments_track_means():
     se = np.sqrt(m * (1 - m) / n)
     assert np.all(np.abs(draws.mean(axis=0) - m) < 4 * se + 1e-9)
 
-    cat = CategoricalLayer(np.array([[1.0, 0.0, -1.0]]))
+    cat = CategoricalLayer(np.array([1.0, 0.0, -1.0]), 3)
     draws = np.stack([cat.sample(gen) for _ in range(n)])
     assert np.all(draws.sum(axis=-1) == 1.0)
     m = cat.mean()
@@ -108,29 +111,29 @@ def test_sampling_moments_track_means():
 
 def test_categorical_sampling_covers_all_categories():
     gen = stream(5)
-    cat = CategoricalLayer(np.zeros((1, 4)))
+    cat = CategoricalLayer(np.zeros(4), 4)
     counts = np.zeros(4)
     for _ in range(400):
-        counts += cat.sample(gen)[0]
+        counts += cat.sample(gen)
     assert np.all(counts > 50)  # fair 4-way units leave no category empty
 
 
 def test_mean_matches_sigmoid_and_softmax():
     logits = np.array([-3.0, 0.0, 3.0])
     assert np.allclose(BernoulliLayer(logits).mean(), sigmoid(logits))
-    cat = CategoricalLayer(np.array([[0.0, math.log(3.0)]]))
-    assert np.allclose(cat.mean(), [[0.25, 0.75]])
+    cat = CategoricalLayer(np.array([0.0, math.log(3.0)]), 2)
+    assert np.allclose(cat.mean(), [0.25, 0.75])
 
 
-# One case per sampling family: logits in the layer's shape, and `half` hand
-# values (logits, value, adjoint, want, clamped units). The last unit or row of
-# each is an outcome too rare for its probability to survive the clamp.
+# One case per sampling family: node-shaped logits and the node's `k`, then
+# `half` hand values (k, logits, value, adjoint, want, clamped units). The last
+# unit of each is an outcome too rare for its probability to survive the clamp.
 FAMILY_CASES = {
-    "bernoulli": (np.array([0.7, -0.4, 1.3]),
-                  ([0.0, 0.0, 40.0], [1.0, 1.0, 0.0], [3.0, 2.0, 1.0], [0.75, 0.5, 0.0], 1)),
-    "categorical": (np.array([[0.2, -1.0, 0.5], [0.0, 0.3, -0.3]]),
-                    ([[0.0, 0.0], [40.0, -40.0]], [[1.0, 0.0], [0.0, 1.0]],
-                     [[1.0, 0.0], [1.0, 0.0]], [[0.25, -0.25], [0.0, 0.0]], 1)),
+    "bernoulli": (np.array([0.7, -0.4, 1.3]), None,
+                  (None, [0.0, 0.0, 40.0], [1.0, 1.0, 0.0], [3.0, 2.0, 1.0], [0.75, 0.5, 0.0], 1)),
+    "categorical": (np.array([0.2, -1.0, 0.5, 0.0, 0.3, -0.3]), 3,
+                    (2, [0.0, 0.0, 40.0, -40.0], [1.0, 0.0, 0.0, 1.0],
+                     [1.0, 0.0, 1.0, 0.0], [0.25, -0.25, 0.0, 0.0], 1)),
 }
 
 
@@ -138,9 +141,9 @@ FAMILY_CASES = {
 def test_family_protocol(op):
     """The rules every sampling family provides, checked on its layer class."""
     assert op in FAMILY_CASES, f"sampling family {op!r} has no case in FAMILY_CASES"
-    logits, (h_logits, h_value, h_adj, h_want, h_clamped) = FAMILY_CASES[op]
+    logits, k, (h_k, h_logits, h_value, h_adj, h_want, h_clamped) = FAMILY_CASES[op]
     cls = _SAMPLERS[op].layer
-    layer = cls(logits)
+    layer = cls(logits, k)
     shape = logits.shape
 
     # mean_vjp against central differences of <adjoint, mean()>
@@ -151,17 +154,18 @@ def test_family_protocol(op):
         up, dn = logits.copy(), logits.copy()
         up[idx] += step
         dn[idx] -= step
-        fd[idx] = np.sum(adj * (cls(up).mean() - cls(dn).mean())) / (2 * step)
+        fd[idx] = np.sum(adj * (cls(up, k).mean() - cls(dn, k).mean())) / (2 * step)
     assert np.allclose(layer.mean_vjp(adj), fd, rtol=1e-6, atol=1e-8)
 
-    # the support: distinct values, sized from the shape alone, total
-    # probability one, scores averaging to zero
-    supp = cls.support(shape)
-    assert len(supp) == cls.support_size(shape) == len({v.tobytes() for v in supp})
+    # the support: distinct node-shaped values, sized from the width and k
+    # alone, total probability one, scores averaging to zero
+    supp = cls.support(shape[0], k)
+    assert len(supp) == cls.support_size(shape[0], k) == len({v.tobytes() for v in supp})
+    assert all(v.shape == shape for v in supp)
     probs = [math.exp(layer.log_prob(v)) for v in supp]
     assert sum(probs) == pytest.approx(1.0, rel=1e-14)
     mean_score = sum(p * layer.score(v) for p, v in zip(probs, supp))
     assert np.allclose(mean_score, 0.0, atol=1e-14)
 
-    got, clamped = cls(np.array(h_logits)).half(np.array(h_value), np.array(h_adj), HALF_CLAMP)
+    got, clamped = cls(np.array(h_logits), h_k).half(np.array(h_value), np.array(h_adj), HALF_CLAMP)
     assert np.allclose(got, h_want, atol=1e-15) and clamped == h_clamped

@@ -8,6 +8,7 @@ from muprop import (
     Graph,
     Mode,
     apply_baselines,
+    build_sbn_variational,
     build_structured_predictor,
     estimate,
     forward,
@@ -21,7 +22,8 @@ from muprop import (
     st_estimate,
     stochastic_layers,
 )
-from muprop.estimators import SCORE_ESTIMATORS, IdbNet
+from muprop import distributions
+from muprop.estimators import ESTIMATORS, SCORE_ESTIMATORS, IdbNet
 from muprop.rng import stream
 
 from helpers import single_unit
@@ -298,3 +300,37 @@ def test_baselines_shift_only_the_score_term():
     score = 0.5  # x=1 at logit 0
     assert shifted.grads[th] == pytest.approx(plain.grads[th] - 0.6 * score)
     assert shifted.node_diag[sid]["baseline"] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("arch", ["8-4-4-8", "2x3-3x4-8"])
+def test_one_layer_and_at_most_one_mean_per_node_per_pass(arch, monkeypatch):
+    """One draw builds one layer per stochastic node per forward pass, and each
+    layer computes its mean (one sigmoid/softmax call) at most once."""
+    if arch == "8-4-4-8":
+        g = build_structured_predictor(arch)
+        cost, inputs = g.meta["cost"], {"x": np.ones(8), "y": np.zeros(8)}
+    else:
+        model = build_sbn_variational(arch)
+        g, cost, inputs = model.graph, model.cost, {"x": np.ones(8)}
+    params = init_params(g, 1)
+    counts = {"layers": 0, "means": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (distributions.BernoulliLayer, distributions.CategoricalLayer):
+        monkeypatch.setattr(cls, "__init__", counted("layers", cls.__init__))
+    for name in ("sigmoid", "softmax"):
+        monkeypatch.setattr(distributions, name, counted("means", getattr(distributions, name)))
+    # two stochastic nodes: passes x nodes layers; a node pinned in a
+    # muprop_rollout anchor pass never computes its mean
+    want = {"lr": (2, 2), "st": (2, 2), "half": (2, 2), "muprop": (4, 4),
+            "muprop_rollout": (6, 5)}
+    assert sorted(want) == sorted(ESTIMATORS)
+    for name in ESTIMATORS:
+        counts.update(layers=0, means=0)
+        estimate(EstimatorConfig(name), g, cost, inputs, params, rng_seed=3)
+        assert (counts["layers"], counts["means"]) == want[name], name

@@ -47,12 +47,28 @@ def test_forward_mode_rules():
         forward(g, mode=Mode.MEAN_FIELD)  # unbound parameter
     # forcing every stochastic node removes the seed requirement
     tr = forward(g, params=params, forced={h: np.array([1.0, 0.0])})
-    assert tr.logprobs[h] == pytest.approx(2 * np.log(0.5))
+    assert tr.logprob == pytest.approx(2 * np.log(0.5))
     assert h in tr.barriers
     with pytest.raises(ValueError):
         forward(g, params=params, forced={th: np.zeros(2)}, rng_seed=0)
     with pytest.raises(ValueError):
         forward(g, params=params, forced={h: np.array([0.5, 0.0])})
+
+
+def test_forced_values_must_have_their_nodes_shape():
+    """A forced value is checked as given, never reshaped to fit its node."""
+    g = Graph()
+    h = g.bernoulli(g.parameter((2,), "th"))
+    c = g.categorical(g.parameter((6,), "tc"), k=3)
+    g.cost(g.sum(g.concat(h, c)))
+    params = {"th": np.zeros(2), "tc": np.zeros(6)}
+    one_hot = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    ok = forward(g, params=params, forced={h: np.array([1.0, 0.0]), c: one_hot})
+    assert np.array_equal(ok.values[c], one_hot) and ok.barriers == {h, c}
+    with pytest.raises(ValueError, match=rf"node {h}: .*\(2, 1\) != .* \(2,\)"):
+        forward(g, params=params, forced={h: np.array([[1.0], [0.0]]), c: one_hot})
+    with pytest.raises(ValueError, match=rf"node {c}: .*\(2, 3\) != .* \(6,\)"):
+        forward(g, params=params, forced={h: np.array([1.0, 0.0]), c: one_hot.reshape(2, 3)})
 
 
 def test_mean_field_relaxes_to_means():
@@ -63,7 +79,7 @@ def test_mean_field_relaxes_to_means():
     logits = np.array([-1.0, 0.0, 2.0])
     tr = forward(g, params={"th": logits}, mode=Mode.MEAN_FIELD)
     assert np.allclose(tr.values[h], sigmoid(logits))
-    assert tr.logprobs == {} and tr.barriers == frozenset()
+    assert tr.logprob == 0.0 and tr.barriers == frozenset()
 
 
 def test_sampling_determinism_and_barrier_semantics():

@@ -117,7 +117,7 @@ def test_sbn_cost_hand_value_one_layer():
                   + x @ lp - np.sum(softplus(lp)))
     assert tr.cost_value(model.cost) == pytest.approx(log_q - log_p, rel=1e-12)
     # forcing also fixes the recorded sampling probability to q
-    assert sum(tr.logprobs.values()) == pytest.approx(log_q, rel=1e-12)
+    assert tr.logprob == pytest.approx(log_q, rel=1e-12)
 
 
 def test_sbn_categorical_latents():
@@ -157,7 +157,7 @@ def test_evaluate_nll_against_enumerated_likelihood():
         total = 0.0
         for cfg in enumerate_configs(g):
             tr = forward(g, {"x": X[i], "y": Y[i]}, params, forced=cfg)
-            p_h = math.exp(sum(tr.logprobs.values()))
+            p_h = math.exp(tr.logprob)
             total += p_h * math.exp(-tr.cost_value(cost_node))
         exact += -math.log(total)
     exact /= len(X)

@@ -149,7 +149,7 @@ def test_muprop_expectation_reuses_one_mean_field_pass(monkeypatch):
     # reference: one independent muprop draw (own mean-field pass) per configuration
     want: dict = {}
     for cfg in enumerate_configs(g):
-        prob = math.exp(sum(forward(g, x, p, forced=cfg).logprobs.values()))
+        prob = math.exp(forward(g, x, p, forced=cfg).logprob)
         est = estimate(config, g, c, x, p, None, baselines=copy.deepcopy(state),
                        forced=cfg, idb_input=x["x"])
         for w, grad in est.grads.items():

@@ -79,8 +79,8 @@ def test_oversized_supports_are_counted_from_shapes(monkeypatch):
     c = g.categorical(g.parameter((30,), "tc"), k=3)
     g.cost(g.sum(g.concat(h, c)))
 
-    def built(shape):
-        raise AssertionError(f"support of shape {shape} built")
+    def built(width, k=None):
+        raise AssertionError(f"support of width {width} built")
 
     for cls in (BernoulliLayer, CategoricalLayer):
         monkeypatch.setattr(cls, "support", staticmethod(built))
@@ -197,7 +197,7 @@ def test_exact_variances_single_unit_quadratic():
         m1 = m2 = 0.0
         for cfg in enumerate_configs(g):
             tr = forward(g, params=params, forced=cfg)
-            p = math.exp(sum(tr.logprobs.values()))
+            p = math.exp(tr.logprob)
             est = estimate(EstimatorConfig(name), g, c, None, params, None,
                            forced=cfg)
             v = float(est.grads[th])
