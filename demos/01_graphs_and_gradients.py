@@ -3,7 +3,9 @@
 The same graph supports three views: a mean-field pass that replaces each
 sampling layer with its mean (fully differentiable), a stochastic pass that
 draws hard 0/1 values (gradients stop at the draws), and forced evaluation
-that pins chosen outcomes for enumeration-style work.
+that pins chosen outcomes for enumeration-style work. Every value carries a
+leading row axis: a draw is one row, and forcing B configurations at once
+evaluates them as the B rows of one pass.
 """
 import numpy as np
 
@@ -26,7 +28,7 @@ params = {
 
 print("mean-field: samples relax to their means, everything is differentiable")
 mf = forward(g, inputs, params, mode=Mode.MEAN_FIELD)
-print("  hidden means:", np.round(mf.values[h], 4))
+print("  hidden means (one row):", np.round(mf.values[h][0], 4))
 print("  cost:", round(mf.cost_value(cost), 6))
 grads = gradients(g, cost, [w, v], mf)
 print("  d cost / d v:", np.round(grads[v], 4))
@@ -35,8 +37,8 @@ print("  d cost / d w row 0:", np.round(grads[w][0], 4))
 print("\nstochastic: hard samples, reproducible per seed")
 for seed in (0, 1, 0):
     tr = forward(g, inputs, params, rng_seed=seed)
-    print(f"  seed {seed}: h = {tr.values[h]}, cost = {tr.cost_value(cost):.4f}, "
-          f"log p(h) = {tr.logprob:.4f}")
+    print(f"  seed {seed}: h = {tr.values[h][0]}, cost = {tr.cost_value(cost):.4f}, "
+          f"log p(h) = {tr.logprob[0]:.4f}")
 
 tr = forward(g, inputs, params, rng_seed=0)
 grads = gradients(g, cost, [w, v], tr)
@@ -46,11 +48,17 @@ print("  d cost / d v still flows:", np.round(grads[v], 4))
 print("\nforced: pin the outcome to evaluate a chosen configuration")
 tr = forward(g, inputs, params, forced={h: np.array([1.0, 0.0])})
 print("  cost at h=[1,0]:", round(tr.cost_value(cost), 6))
-print("  log p of that outcome:", round(tr.logprob, 6))
+print("  log p of that outcome:", round(float(tr.logprob[0]), 6))
+
+print("\nforced rows: every configuration of h in one pass, one row each")
+configs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+tr = forward(g, inputs, params, forced={h: configs})
+print("  cost per row:", np.round(tr.values[cost], 6))
+print("  probabilities sum to", round(float(np.exp(tr.logprob).sum()), 12))
 
 print("\nadjoints from custom seeds (here: d of the hidden sum, not the cost)")
 adj = backward(g, mf, {h: np.ones(2)})
-print("  d sum(h_mean) / d b:", np.round(adj[b], 4))
+print("  d sum(h_mean) / d b:", np.round(adj[b][0], 4))
 
 print("\nfinite-difference check of the mean-field gradient in w[0,0]")
 eps = 1e-6

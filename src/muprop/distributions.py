@@ -5,13 +5,16 @@ log-density with respect to the logits, value - mean for both families),
 `mean_vjp` (the adjoint through the mean map), `half` (the rescaled-derivative
 logit adjoint), and the enumeration `support` / `support_size`, which depend
 only on the node's width and group width `k`. Every array a layer takes or
-returns is in its node's 1-D shape; `CategoricalLayer` groups it into rows of
-`k` internally. A layer computes its mean at most once, on first use, so
-`sample`, `score`, `mean_vjp` and `half` share it.
+returns is `[..., width]`: the node's 1-D shape after any leading row axes.
+The engine passes one row axis, one row per draw or forced configuration.
+Leading axes broadcast, so logits that do not depend on the rows (a first
+layer's, say) are held as one row against values with many. `log_prob`
+returns one value per row. `CategoricalLayer` groups the last axis into units
+of `k` internally. A layer computes its mean at most once, on first use, so
+`sample`, `score`, `mean_vjp` and `half` share it. `support` returns every
+value of a node as the rows of one array.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .numerics import as_tensor, logsumexp, sigmoid, softmax, softmax_adjoint, s
 
 
 class _Layer:
-    """Logits in the node's shape, and the group width `k` of a grouped family."""
+    """Logits as `[..., width]`, and the group width `k` of a grouped family."""
 
     def __init__(self, logits: np.ndarray, k: int | None = None):
         self.logits = logits
@@ -28,7 +31,7 @@ class _Layer:
 
     def _check_shape(self, value: np.ndarray) -> np.ndarray:
         value = as_tensor(value)
-        if value.shape != self.logits.shape:
+        if value.ndim != self.logits.ndim or value.shape[-1:] != self.logits.shape[-1:]:
             raise ValueError(f"value shape {value.shape} != logits shape {self.logits.shape}")
         return value
 
@@ -51,11 +54,11 @@ class BernoulliLayer(_Layer):
             raise ValueError("binary layer value must be exactly 0/1")
         return value
 
-    def log_prob(self, value: np.ndarray, checked: bool = False) -> float:
+    def log_prob(self, value: np.ndarray, checked: bool = False) -> np.ndarray:
         if not checked:
             value = self.validate(value)
         # sum of v*log(m) + (1-v)*log(1-m), folded into one softplus per unit
-        return float(-np.sum(softplus((1.0 - 2.0 * value) * self.logits)))
+        return -np.sum(softplus((1.0 - 2.0 * value) * self.logits), axis=-1)
 
     def score(self, value: np.ndarray, checked: bool = False) -> np.ndarray:
         if not checked:
@@ -77,9 +80,10 @@ class BernoulliLayer(_Layer):
         return 2 ** width
 
     @staticmethod
-    def support(width: int, k: int | None = None) -> list[np.ndarray]:
-        """Every value, in binary counting order (unit 0 is the lowest bit)."""
-        return [np.array(bits[::-1]) for bits in itertools.product((0.0, 1.0), repeat=width)]
+    def support(width: int, k: int | None = None) -> np.ndarray:
+        """Every value as one row, in binary counting order (unit 0 is the lowest bit)."""
+        index = np.arange(2 ** width)[:, None]
+        return ((index >> np.arange(width)) & 1).astype(np.float64)
 
 
 class CategoricalLayer(_Layer):
@@ -89,34 +93,34 @@ class CategoricalLayer(_Layer):
     uniform draw per unit decides its category.
     """
 
-    def _rows(self, a: np.ndarray) -> np.ndarray:
-        """A node-shaped array as one row of `k` entries per unit."""
-        return a.reshape(-1, self.k)
+    def _units(self, a: np.ndarray) -> np.ndarray:
+        """A `[..., width]` array as `[..., units, k]`."""
+        return a.reshape(a.shape[:-1] + (-1, self.k))
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
-            self._mean = softmax(self._rows(self.logits), axis=-1).reshape(self.logits.shape)
+            self._mean = softmax(self._units(self.logits), axis=-1).reshape(self.logits.shape)
         return self._mean
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        cdf = np.cumsum(self._rows(self.mean()), axis=-1)
-        r = rng.random((cdf.shape[0], 1))
+        cdf = np.cumsum(self._units(self.mean()), axis=-1)
+        r = rng.random(cdf.shape[:-1] + (1,))
         idx = np.minimum((cdf <= r).sum(axis=-1), self.k - 1)
         return np.eye(self.k)[idx].reshape(self.logits.shape)
 
     def validate(self, value: np.ndarray) -> np.ndarray:
         value = self._check_shape(value)
         binary = np.all((value == 0.0) | (value == 1.0))
-        if not (binary and np.all(self._rows(value).sum(axis=-1) == 1.0)):
+        if not (binary and np.all(self._units(value).sum(axis=-1) == 1.0)):
             raise ValueError("categorical layer value must be one-hot groups")
         return value
 
-    def log_prob(self, value: np.ndarray, checked: bool = False) -> float:
+    def log_prob(self, value: np.ndarray, checked: bool = False) -> np.ndarray:
         if not checked:
             value = self.validate(value)
-        rows = self._rows(self.logits)
-        picked = np.sum(rows * self._rows(value), axis=-1)
-        return float(np.sum(picked - logsumexp(rows, axis=-1)))
+        units = self._units(self.logits)
+        picked = np.sum(units * self._units(value), axis=-1)
+        return np.sum(picked - logsumexp(units, axis=-1), axis=-1)
 
     def score(self, value: np.ndarray, checked: bool = False) -> np.ndarray:
         if not checked:
@@ -128,19 +132,21 @@ class CategoricalLayer(_Layer):
 
     def half(self, value: np.ndarray, adj: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
         """[adj . (x - 1/k)] * dP(x)/dl / P(x) per unit, and the count of P(x) below `clamp`."""
-        probs, value, adj = self._rows(self.mean()), self._rows(value), self._rows(adj)
+        probs, value, adj = self._units(self.mean()), self._units(value), self._units(adj)
         coeff = np.sum(adj * (value - 1.0 / self.k), axis=-1, keepdims=True)
         sel_p = np.sum(probs * value, axis=-1, keepdims=True)  # P(x), per unit
         jac_sel = sel_p * (value - probs)  # d P(x) / d logits, per unit
         g = coeff * jac_sel / np.maximum(sel_p, clamp)
-        return g.reshape(self.logits.shape), int(np.count_nonzero(sel_p < clamp))
+        return g.reshape(g.shape[:-2] + (-1,)), int(np.count_nonzero(sel_p < clamp))
 
     @staticmethod
     def support_size(width: int, k: int) -> int:
         return k ** (width // k)
 
     @staticmethod
-    def support(width: int, k: int) -> list[np.ndarray]:
-        """Every value, in `itertools.product` order over the units' categories."""
-        eye = np.eye(k)
-        return [eye[list(idx)].reshape(width) for idx in itertools.product(range(k), repeat=width // k)]
+    def support(width: int, k: int) -> np.ndarray:
+        """Every value as one row, in `itertools.product` order over the units'
+        categories (the last unit changes fastest)."""
+        units = width // k
+        index = np.arange(k ** units)[:, None] // k ** np.arange(units - 1, -1, -1) % k
+        return np.eye(k)[index].reshape(len(index), width)

@@ -19,6 +19,13 @@ The three score-function estimators run one loop, `_score_estimate`, and
 differ only in their anchors: none (`lr`), one mean-field pass (`muprop`),
 or one pinned pass per layer (`muprop_rollout`).
 
+An estimate covers every row of its stochastic trace: one draw, or the forced
+configurations of a block (`forced` values with a leading row axis). Its
+cost, log-probability and per-node diagnostics are per row, and its gradient
+is one sweep summed over the rows. With `weighted`, each row's seeds are first
+scaled by the row's probability, read off the same trace, so the gradient is
+the sum of p * (each row's estimate): an exact expectation over the block.
+
 Baselines never change what the estimators report as the raw learning signal;
 diagnostics always carry the pre-baseline value.
 """
@@ -104,45 +111,47 @@ class BaselineState:
 
 
 def apply_baselines(
-    signal: float,
+    signal: float | np.ndarray,
     node_id: int,
     state: BaselineState,
     flags,
     idb_pred: float | None = None,
     diag: dict | None = None,
-) -> float:
-    """Center/normalize a learning signal and update the moving statistics.
+) -> float | np.ndarray:
+    """Center/normalize a learning signal, one per row, and update the moving statistics.
 
     Order: subtract the moving mean (flag "c"), subtract `idb_pred`, the idb
     net's prediction for the draw's input sample (flag "idb"), then divide by
-    max(1, sqrt(v)) (flag "vn", always last). Statistics update after the
-    signal is adjusted.
+    max(1, sqrt(v)) (flag "vn", always last). Every row is adjusted against
+    the statistics as they stand; then the rows update them, in row order.
     """
     flags = frozenset(flags)
     bad = flags - VALID_FLAGS
     if bad:
         raise ValueError(f"unknown baseline flags {sorted(bad)}")
-    signal = float(signal)
     b = state.b.get(node_id, 0.0)
     v = state.v.get(node_id, 0.0)
 
     adjusted = signal
     subtracted = 0.0
     if "c" in flags:
-        adjusted -= b
+        adjusted = adjusted - b
         subtracted += b
     if "idb" in flags:
         if idb_pred is None:
             raise ValueError("idb flag requires the prediction for the input sample")
-        adjusted -= idb_pred
+        adjusted = adjusted - idb_pred
         subtracted += idb_pred
     if "vn" in flags:
-        adjusted /= max(1.0, math.sqrt(v))
+        adjusted = adjusted / max(1.0, math.sqrt(v))
 
-    centered = signal - subtracted
     d = BASELINE_DECAY
-    state.b[node_id] = d * b + (1.0 - d) * signal
-    state.v[node_id] = d * v + (1.0 - d) * centered * centered
+    for s in signal.tolist() if isinstance(signal, np.ndarray) else [signal]:
+        centered = s - subtracted
+        b = d * b + (1.0 - d) * s
+        v = d * v + (1.0 - d) * centered * centered
+    state.b[node_id] = b
+    state.v[node_id] = v
     if diag is not None:
         diag["signal"] = signal
         diag["baseline"] = subtracted
@@ -167,13 +176,17 @@ def idb_update(
 
 @dataclass
 class GradientEstimate:
+    """Parameter gradients summed over the rows (probability-weighted with
+    `weighted`); the cost, log-probability and diagnostics per row; and the
+    number of passes run, however many rows each had."""
+
     grads: dict[int, np.ndarray]
-    cost: float
+    cost: np.ndarray
     node_diag: dict[int, dict]
     mean_field_passes: int = 0
     stochastic_passes: int = 0
     extra: dict = field(default_factory=dict)
-    logprob: float | None = None  # log-probability of the drawn configuration
+    logprob: np.ndarray | None = None  # log-probability of each row's configuration
 
 
 def _add_seed(seeds: dict, nid: int, v: np.ndarray) -> None:
@@ -188,13 +201,20 @@ def _check_stochastic_trace(graph: Graph, trace: Trace) -> None:
         raise ValueError("estimator needs a trace with every stochastic node drawn")
 
 
-def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None):
-    """Final sweep: the seeds' gradient at every parameter, zeros if unreached."""
+def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None,
+                 weighted: bool = False):
+    """Final sweep: the seeds' gradient at every parameter, summed over the
+    rows, zeros if unreached. With `weighted`, each row's seeds are scaled by
+    its probability first."""
+    if weighted:
+        p = np.exp(trace.logprob)
+        seeds = {nid: p.reshape(p.shape + (1,) * len(graph.nodes[nid].shape)) * s
+                 for nid, s in seeds.items()}
     adj = backward(graph, trace, seeds, stochastic_vjp, need=graph.param_ids)
     out = {}
     for pid in graph.param_ids:
         g = adj[pid]
-        out[pid] = as_tensor(g) if g is not None else np.zeros(graph.nodes[pid].shape)
+        out[pid] = as_tensor(g[0]) if g is not None else np.zeros(graph.nodes[pid].shape)
     return out
 
 
@@ -206,6 +226,7 @@ def _score_estimate(
     baselines: BaselineState | None,
     flags,
     idb_input: np.ndarray | None,
+    weighted: bool = False,
     **fields,
 ) -> GradientEstimate:
     """The score-function loop shared by `lr`, `muprop` and `muprop_rollout`.
@@ -214,10 +235,11 @@ def _score_estimate(
     node's learning signal is the cost (`lr`). An anchor `(values, adjoints,
     cost)` of a mean-field pass makes it MuProp: the signal is the residual
     f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i), and the linear term comes
-    back through the mean map. Each signal goes through `apply_baselines`.
-    With flag "idb", the net predicts once per draw, and after the last
-    signal it takes one regression step toward the mean raw signal minus the
-    mean updated moving baseline.
+    back through the mean map. Signals, anchors and seeds are per row. Each
+    signal goes through `apply_baselines`. With flag "idb", the net predicts
+    once per call (every row shares the input), and after the last signal it
+    takes one regression step toward the mean raw signal minus the mean
+    updated moving baseline.
     """
     _check_stochastic_trace(graph, trace)
     state = baselines if baselines is not None else BaselineState()
@@ -227,7 +249,7 @@ def _score_estimate(
             raise ValueError("idb flag requires the input sample")
         x_in = np.asarray(idb_input, dtype=np.float64).ravel()
         idb_pred = state.ensure_idb(x_in.size).value(x_in)
-    f = trace.cost_value(cost)
+    f = trace.values[cost]
     seeds: dict[int, np.ndarray] = {cost: np.ones(())}
     node_diag: dict[int, dict] = {}
     for sids, anchor in groups:
@@ -239,12 +261,14 @@ def _score_estimate(
                 signal, d = f, {}
             else:
                 values, adj, anchor_cost = anchor
-                gbar = np.zeros(x.shape) if adj[sid] is None else as_tensor(adj[sid])
-                signal = f - anchor_cost - float(np.dot(gbar.ravel(), (x - values[sid]).ravel()))
+                gbar = np.zeros(x.shape) if adj[sid] is None else adj[sid]
+                # one dot product per row: gbar_r . (x_r - xbar_r)
+                slope = ((x - values[sid])[:, None, :] @ gbar[:, :, None])[:, 0, 0]
+                signal = f - anchor_cost - slope
                 d = {"residual": signal, "anchor_cost": anchor_cost}
             adjusted = apply_baselines(signal, sid, state, flags, idb_pred, diag=d)
             node_diag[sid] = d
-            seed = score * adjusted
+            seed = score * adjusted[:, None]
             if anchor is not None:
                 seed = seed + layer.mean_vjp(gbar)
             _add_seed(seeds, graph.nodes[sid].parents[0], seed)
@@ -253,7 +277,7 @@ def _score_estimate(
         target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
         idb_update(state, x_in, target, IDB_LR)
     return GradientEstimate(
-        _param_grads(graph, trace, seeds), f, node_diag,
+        _param_grads(graph, trace, seeds, weighted=weighted), f, node_diag,
         logprob=trace.logprob, **fields,
     )
 
@@ -265,6 +289,7 @@ def lr_estimate(
     baselines: BaselineState | None = None,
     flags=(),
     idb_input: np.ndarray | None = None,
+    weighted: bool = False,
 ) -> GradientEstimate:
     """Score-function estimator: each node's score times the (adjusted) cost.
 
@@ -273,7 +298,7 @@ def lr_estimate(
     """
     cost = graph.node_id(cost)
     groups = [(graph.stochastic_ids, None)]
-    return _score_estimate(graph, trace, cost, groups, baselines, flags, idb_input)
+    return _score_estimate(graph, trace, cost, groups, baselines, flags, idb_input, weighted)
 
 
 def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
@@ -302,6 +327,7 @@ def muprop_estimate(
     idb_input: np.ndarray | None = None,
     mf=None,
     validate: bool = True,
+    weighted: bool = False,
 ) -> GradientEstimate:
     """Taylor-anchored unbiased estimator around one mean-propagation trunk.
 
@@ -319,10 +345,10 @@ def muprop_estimate(
     mf_trace, mf_adj = mf
     st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                        forced=forced, validate=validate)
-    mf_cost = mf_trace.cost_value(cost)
+    mf_cost = mf_trace.values[cost]
     groups = [(graph.stochastic_ids, (mf_trace.values, mf_adj, mf_cost))]
     return _score_estimate(
-        graph, st_trace, cost, groups, baselines, flags, idb_input,
+        graph, st_trace, cost, groups, baselines, flags, idb_input, weighted,
         mean_field_passes=mf_passes, stochastic_passes=1, extra={"mean_field_cost": mf_cost},
     )
 
@@ -351,14 +377,15 @@ def muprop_rollout_estimate(
     forced=None,
     idb_input: np.ndarray | None = None,
     validate: bool = True,
+    weighted: bool = False,
 ) -> GradientEstimate:
     """Taylor-anchored estimator with per-layer re-anchoring.
 
     The anchor for layer L comes from a partial deterministic pass whose trunk
     is pinned to the sampled values of all earlier layers, so each layer is
     linearized around the mean given its actual sampled parents. One partial
-    pass per layer, run only when its layer is reached; identical to
-    `muprop_estimate` on single-layer graphs.
+    pass per layer, run only when its layer is reached, over the same rows as
+    the stochastic pass; identical to `muprop_estimate` on single-layer graphs.
     """
     cost = graph.node_id(cost)
     layer_groups = stochastic_layers(graph)
@@ -373,17 +400,17 @@ def muprop_rollout_estimate(
             branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, forced=dict(pinned),
                              validate=validate)
             adj = backward(graph, branch, {cost: np.ones(())}, need=group)
-            yield group, (branch.values, adj, branch.cost_value(cost))
+            yield group, (branch.values, adj, branch.values[cost])
             for sid in group:
                 pinned[sid] = st_trace.values[sid]
 
     return _score_estimate(
-        graph, st_trace, cost, groups(), baselines, flags, idb_input,
+        graph, st_trace, cost, groups(), baselines, flags, idb_input, weighted,
         mean_field_passes=len(layer_groups), stochastic_passes=1,
     )
 
 
-def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
+def st_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> GradientEstimate:
     """Straight-through: treat each drawn sample as if it were the mean.
 
     The sweep applies the mean-map derivative (including the sigmoid/softmax
@@ -393,11 +420,12 @@ def st_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
     cost = graph.node_id(cost)
     _check_stochastic_trace(graph, trace)
 
-    grads = _param_grads(graph, trace, {cost: np.ones(())}, lambda layer, x, a: layer.mean_vjp(a))
-    return GradientEstimate(grads, trace.cost_value(cost), {}, logprob=trace.logprob)
+    grads = _param_grads(graph, trace, {cost: np.ones(())}, lambda layer, x, a: layer.mean_vjp(a),
+                         weighted)
+    return GradientEstimate(grads, trace.values[cost], {}, logprob=trace.logprob)
 
 
-def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
+def half_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> GradientEstimate:
     """Derivative-at-sample estimator rescaled by outcome probabilities.
 
     Each drawn layer's `half` rescales the adjoint at its logits by the
@@ -416,8 +444,8 @@ def half_estimate(graph: Graph, trace: Trace, cost) -> GradientEstimate:
         return g
 
     return GradientEstimate(
-        _param_grads(graph, trace, {cost: np.ones(())}, vjp),
-        trace.cost_value(cost),
+        _param_grads(graph, trace, {cost: np.ones(())}, vjp, weighted),
+        trace.values[cost],
         {},
         extra={"clamped_units": clamped},
         logprob=trace.logprob,
@@ -455,26 +483,29 @@ def estimate(
     idb_input: np.ndarray | None = None,
     mf=None,
     validate: bool = True,
+    weighted: bool = False,
 ) -> GradientEstimate:
-    """Run one estimator draw, producing any forward passes it needs."""
+    """Run one estimator over one draw or a block of forced rows, producing
+    any forward passes it needs; `weighted` weights each row's estimate by its
+    probability (see the module docstring)."""
     name = config.name
     if name == "muprop":
         return muprop_estimate(
             graph, cost, inputs, params, rng_seed, baselines, config.flags,
-            forced=forced, idb_input=idb_input, mf=mf, validate=validate,
+            forced=forced, idb_input=idb_input, mf=mf, validate=validate, weighted=weighted,
         )
     if name == "muprop_rollout":
         return muprop_rollout_estimate(
             graph, cost, inputs, params, rng_seed, baselines, config.flags,
-            forced=forced, idb_input=idb_input, validate=validate,
+            forced=forced, idb_input=idb_input, validate=validate, weighted=weighted,
         )
     trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                     forced=forced, validate=validate)
     if name == "lr":
-        est = lr_estimate(graph, trace, cost, baselines, config.flags, idb_input)
+        est = lr_estimate(graph, trace, cost, baselines, config.flags, idb_input, weighted)
     elif name == "st":
-        est = st_estimate(graph, trace, cost)
+        est = st_estimate(graph, trace, cost, weighted)
     else:
-        est = half_estimate(graph, trace, cost)
+        est = half_estimate(graph, trace, cost, weighted)
     est.stochastic_passes = 1
     return est

@@ -8,6 +8,12 @@ input and parameter tensors. `forward` runs in one of two modes:
 * ``Mode.MEAN_FIELD`` propagates distribution means instead, producing a fully
   differentiable deterministic relaxation of the same network.
 
+Every value carries a leading row axis, `[rows, *node.shape]`, one row per
+draw or forced configuration. Inputs, parameters and the nodes computed from
+them alone hold one row, which broadcasts against the rest; a `forced` value
+with a leading axis of B rows makes a pass of B rows. An unforced draw takes
+one row.
+
 Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
 forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
 rule, and the layer class that holds all of the family's math); construction,
@@ -18,13 +24,15 @@ nodes behave as gradient barriers exactly when the trace marks them as drawn
 (or forced); in mean-field traces they differentiate through the mean map.
 `backward(..., need=...)` computes only the adjoints on a differentiable path
 from the requested nodes (activity analysis), so a sweep whose reader looks
-at a few nodes skips the rest of the graph.
+at a few nodes skips the rest of the graph. An adjoint has its node's rows; one
+flowing into a parent with fewer rows is summed over the rows, so a
+parameter's adjoint is the sum of every row's.
 
 Graphs are append-only during construction and treated as immutable afterwards,
 so a built graph can be shared read-only across threads; the only state a
 built graph gains is its caches (id lists by kind, liveness masks). All values are dense float64
-arrays; any non-finite entry produced by evaluation is an error, not a silent
-value.
+arrays; any non-finite entry produced by evaluation is an error naming its
+node and row (`NonFiniteError`), not a silent value.
 """
 from __future__ import annotations
 
@@ -65,20 +73,32 @@ class Node:
     init: str | None = None  # parameter init rule: "fan_in" or "zeros"
 
 
+class NonFiniteError(ValueError):
+    """A forward pass produced a non-finite entry at `node`, first in row `row`."""
+
+    def __init__(self, node: int, row: int):
+        super().__init__(f"non-finite value produced at node {node} in row {row}")
+        self.node = node
+        self.row = row
+
+
 @dataclass
 class Trace:
-    """One forward evaluation: every node's value, each stochastic node's layer
-    (built once per pass), the log-probability of the drawn and forced samples
-    (0.0 in mean-field mode) and the drawn or forced nodes (`barriers`)."""
+    """One forward evaluation of `rows` rows: every node's value as
+    `[1 or rows, *node.shape]`, each stochastic node's layer (built once per
+    pass), the log-probability of each row's drawn and forced samples
+    (`[rows]`, zeros in mean-field mode) and the drawn or forced nodes
+    (`barriers`)."""
 
     mode: Mode
     values: list[np.ndarray]
     layers: dict[int, BernoulliLayer | CategoricalLayer]
-    logprob: float
+    logprob: np.ndarray
     barriers: frozenset[int]
 
     def cost_value(self, node_id: int) -> float:
-        return float(self.values[node_id])
+        """A scalar node's value in a one-row trace."""
+        return self.values[node_id].item()
 
 
 class Graph:
@@ -243,7 +263,9 @@ class Graph:
 # node's attributes (`k`, `span`) to the output shape and raises ValueError on
 # a bad combination, wrong arity included. A deterministic op (`Op`) also
 # has `forward(node, values)`, its value read off the list of node values,
-# and `vjp(node, values, adjoint, j)`, the adjoint of its j-th parent. A
+# and `vjp(node, values, adjoint, j)`, the adjoint of its j-th parent. Values
+# and adjoints are `[rows, *shape]`; parents with one row broadcast, and a vjp
+# may return more rows than its parent has (`backward` sums them). A
 # sampling op (`Sampler`) has its layer class, which holds all of its family's
 # math. Adding an op means one entry here plus one builder method.
 
@@ -318,21 +340,45 @@ def _affine_shape(pshapes, attrs):
     return (ws[0],)
 
 
+def _affine(node, values):
+    x, w, b = node.parents
+    return values[x] @ values[w][0].T + values[b]
+
+
 def _affine_vjp(node, values, a, j):
     x, w, _ = node.parents
     if j == 0:
-        return values[w].T @ a
-    return np.outer(a, values[x]) if j == 1 else a
+        return a @ values[w][0]
+    if j == 2:
+        return a
+    # the weight adjoint sums the rows' outer products; a single row's is
+    # np.outer itself, which keeps the sign of zero products (A.T @ X adds
+    # them to +0.0)
+    return (np.outer(a, values[x]) if len(a) == 1 else a.T @ values[x])[None]
+
+
+def _groups(node, x):
+    """A `[rows, width]` value as `[rows, width // k, k]`."""
+    return x.reshape(len(x), -1, node.k)
 
 
 def _softmax(node, values):
     x = values[node.parents[0]]
-    return softmax(x.reshape(-1, node.k), axis=-1).reshape(node.shape)
+    return softmax(_groups(node, x), axis=-1).reshape(x.shape)
 
 
 def _logsumexp_vjp(node, values, a, j):
     x = values[node.parents[0]]
-    return (softmax(x.reshape(-1, node.k), axis=-1) * a[:, None]).reshape(x.shape)
+    return (softmax(_groups(node, x), axis=-1) * a[:, :, None]).reshape(x.shape)
+
+
+def _per_row(a, x):
+    """The per-row scalars `a` spread over `x`'s shape."""
+    return np.repeat(a, x[0].size).reshape(x.shape)
+
+
+def _flat(x):
+    return x.reshape(len(x), -1)
 
 
 def _concat_shape(pshapes, attrs):
@@ -341,10 +387,17 @@ def _concat_shape(pshapes, attrs):
     return (sum(s[0] if s else 1 for s in pshapes),)
 
 
+def _concat(node, values):
+    parts = [_flat(values[q]) for q in node.parents]
+    rows = max(len(p) for p in parts)
+    return np.concatenate(
+        [p if len(p) == rows else np.broadcast_to(p, (rows, p.shape[1])) for p in parts], axis=1)
+
+
 def _concat_vjp(node, values, a, j):
-    off = sum(values[q].size for q in node.parents[:j])
+    off = sum(values[q][0].size for q in node.parents[:j])
     x = values[node.parents[j]]
-    return a[off : off + x.size].reshape(x.shape)
+    return a[:, off : off + x[0].size].reshape((len(a),) + x.shape[1:])
 
 
 def _slice_shape(pshapes, attrs):
@@ -358,7 +411,7 @@ def _slice_shape(pshapes, attrs):
 def _slice_vjp(node, values, a, j):
     g = np.zeros(values[node.parents[0]].shape)
     start, stop = node.span
-    g[start:stop] = a
+    g[:, start:stop] = a
     return g
 
 
@@ -368,8 +421,7 @@ def _pass_vjp(node, values, a, j):
 
 # lambdas name their arguments n(ode), v(alues), a(djoint) and j (parent index)
 _OPS: dict[str, Op] = {
-    "affine": Op(_affine_shape, lambda n, v: v[n.parents[1]] @ v[n.parents[0]] + v[n.parents[2]],
-                 _affine_vjp),
+    "affine": Op(_affine_shape, _affine, _affine_vjp),
     "sigmoid": Op(_unary_shape, lambda n, v: sigmoid(v[n.parents[0]]),
                   lambda n, v, a, j: a * v[n.id] * (1.0 - v[n.id])),
     "tanh": Op(_unary_shape, lambda n, v: np.tanh(v[n.parents[0]]),
@@ -382,16 +434,14 @@ _OPS: dict[str, Op] = {
               lambda n, v, a, j: -a if j else a),
     "mul": Op(_binary_shape, lambda n, v: v[n.parents[0]] * v[n.parents[1]],
               lambda n, v, a, j: a * v[n.parents[1 - j]]),
-    "sum": Op(_reduce_shape, lambda n, v: np.asarray(np.sum(v[n.parents[0]])),
-              lambda n, v, a, j: np.full(v[n.parents[0]].shape, float(a))),
-    "mean": Op(_reduce_shape, lambda n, v: np.asarray(np.mean(v[n.parents[0]])),
-               lambda n, v, a, j: np.full(v[n.parents[0]].shape,
-                                          float(a) / max(v[n.parents[0]].size, 1))),
+    "sum": Op(_reduce_shape, lambda n, v: _flat(v[n.parents[0]]).sum(axis=1),
+              lambda n, v, a, j: _per_row(a, v[n.parents[0]])),
+    "mean": Op(_reduce_shape, lambda n, v: _flat(v[n.parents[0]]).mean(axis=1),
+               lambda n, v, a, j: _per_row(a / max(v[n.parents[0]][0].size, 1), v[n.parents[0]])),
     "logsumexp": Op(lambda s, attrs: (_grouped_shape(s, attrs)[0] // attrs["k"],),
-                    lambda n, v: logsumexp(v[n.parents[0]].reshape(-1, n.k)), _logsumexp_vjp),
-    "concat": Op(_concat_shape, lambda n, v: np.concatenate([np.atleast_1d(v[q]) for q in n.parents]),
-                 _concat_vjp),
-    "slice": Op(_slice_shape, lambda n, v: v[n.parents[0]][n.span[0] : n.span[1]], _slice_vjp),
+                    lambda n, v: logsumexp(_groups(n, v[n.parents[0]])), _logsumexp_vjp),
+    "concat": Op(_concat_shape, _concat, _concat_vjp),
+    "slice": Op(_slice_shape, lambda n, v: v[n.parents[0]][:, n.span[0] : n.span[1]], _slice_vjp),
     "square": Op(_unary_shape, lambda n, v: v[n.parents[0]] * v[n.parents[0]],
                  lambda n, v, a, j: 2.0 * a * v[n.parents[0]]),
 }
@@ -413,6 +463,30 @@ def _resolve(graph: Graph, bindings) -> dict[int, np.ndarray]:
     return out
 
 
+def _forced_rows(graph: Graph, forced) -> tuple[dict[int, np.ndarray], int]:
+    """Forced values as `[rows, *node.shape]` (a node-shaped value is one row),
+    and the pass's row count."""
+    out = {}
+    rows = 1
+    for key, val in (forced or {}).items():
+        fid = graph.node_id(key)
+        node = graph.nodes[fid]
+        if node.kind != Kind.STOCHASTIC:
+            raise ValueError(f"forced value for non-stochastic node {fid}")
+        v = as_tensor(val)
+        if v.shape == node.shape:
+            v = v[None]
+        elif v.shape[1:] != node.shape:
+            raise ValueError(f"forced value for node {fid}: shape {v.shape} != "
+                             f"{node.shape} or (rows,) + {node.shape}")
+        out[fid] = v
+        rows = max(rows, len(v))
+    for fid, v in out.items():
+        if len(v) not in (1, rows):
+            raise ValueError(f"forced value for node {fid}: {len(v)} rows, another has {rows}")
+    return out, rows
+
+
 def forward(
     graph: Graph,
     inputs=None,
@@ -424,55 +498,50 @@ def forward(
 ) -> Trace:
     """Evaluate every node; returns a Trace covering the whole graph.
 
-    `forced` prescribes outcomes for stochastic nodes (by id). Forced nodes are
-    treated exactly like drawn samples: their log-probability is recorded in
-    STOCHASTIC mode and they block gradients in both modes. A seed is required
-    only when at least one stochastic node actually needs to be drawn.
+    `forced` prescribes outcomes for stochastic nodes (by id), each either in
+    its node's shape (one row) or as `[B, *node.shape]`: B rows, one forced
+    configuration each, evaluated together in one pass of B rows. Forced nodes
+    are treated exactly like drawn samples: their log-probability is recorded
+    per row in STOCHASTIC mode and they block gradients in both modes. A seed
+    is required only when at least one stochastic node actually needs to be
+    drawn, and a draw takes a one-row pass. Inputs and parameters are bound
+    in their nodes' shapes and hold one row. With `validate`, the first
+    non-finite entry raises `NonFiniteError` naming its node and row.
     """
     inputs = _resolve(graph, inputs)
     params = _resolve(graph, params)
-    forced = {graph.node_id(k): as_tensor(v) for k, v in (forced or {}).items()}
-    for fid in forced:
-        if graph.nodes[fid].kind != Kind.STOCHASTIC:
-            raise ValueError(f"forced value for non-stochastic node {fid}")
+    forced, rows = _forced_rows(graph, forced)
 
     if mode == Mode.MEAN_FIELD and rng_seed is not None:
         raise ValueError("mean-field evaluation takes no rng seed")
-    if mode == Mode.STOCHASTIC and rng_seed is None:
+    if mode == Mode.STOCHASTIC and (rng_seed is None or rows > 1):
         unforced = [i for i in graph.stochastic_ids if i not in forced]
-        if unforced:
+        if unforced and rng_seed is None:
             raise ValueError(f"rng_seed required to draw nodes {unforced}")
+        if unforced:
+            raise ValueError(f"a pass of {rows} forced rows cannot draw nodes {unforced}")
 
     n = len(graph.nodes)
     values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     layers: dict[int, BernoulliLayer | CategoricalLayer] = {}
-    logprob = 0.0
+    logprob = np.zeros(rows)
     barriers: set[int] = set()
     gen = None  # one stream per pass; nodes draw from it in topological order
 
     with np.errstate(all="ignore"):
         for node in graph.nodes:
             k = node.kind
-            if k == Kind.INPUT:
-                v = graph.constants.get(node.id)
-                if node.id in inputs:
-                    v = inputs[node.id]
+            if k == Kind.INPUT or k == Kind.PARAMETER:
+                bound = inputs if k == Kind.INPUT else params
+                v = bound[node.id] if node.id in bound else graph.constants.get(node.id)
+                label = node.name or node.id
                 if v is None:
-                    label = node.name or node.id
-                    raise ValueError(f"unbound input {label!r}")
+                    raise ValueError(f"unbound {k.name.lower()} {label!r}")
                 if v.shape != node.shape:
                     raise ValueError(
-                        f"input {node.id}: bound shape {v.shape} != {node.shape}"
+                        f"{k.name.lower()} {node.id}: bound shape {v.shape} != {node.shape}"
                     )
-            elif k == Kind.PARAMETER:
-                if node.id not in params:
-                    label = node.name or node.id
-                    raise ValueError(f"unbound parameter {label!r}")
-                v = params[node.id]
-                if v.shape != node.shape:
-                    raise ValueError(
-                        f"parameter {node.id}: bound shape {v.shape} != {node.shape}"
-                    )
+                v = v[None]
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)
             elif k == Kind.STOCHASTIC:
@@ -497,13 +566,24 @@ def forward(
                 v = values[node.parents[0]]
 
             if validate and not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite value produced at node {node.id}")
+                bad = ~np.isfinite(v).reshape(len(v), -1).all(axis=1)
+                raise NonFiniteError(node.id, int(np.argmax(bad)))
             values[node.id] = v
 
     return Trace(mode, values, layers, logprob, frozenset(barriers))
 
 
 # -- reverse mode --------------------------------------------------------------
+
+
+def _fit_rows(g: np.ndarray, rows: int) -> np.ndarray:
+    """An adjoint with its node's row count: summed over the rows when the
+    node has one row, and spread over them when only the adjoint has one."""
+    if len(g) == rows:
+        return g
+    if rows == 1:
+        return g.sum(axis=0, keepdims=True)
+    return np.broadcast_to(g, (rows,) + g.shape[1:])
 
 
 def backward(
@@ -515,10 +595,14 @@ def backward(
 ) -> list:
     """Reverse sweep from injected adjoints; returns the adjoint list.
 
+    A seed is in its node's shape (the same seed for every row) or has a
+    leading row axis. Each adjoint has its node's rows, `[1 or rows, *shape]`;
+    a parameter's or input's is summed over the rows.
+
     A stochastic node that is not a barrier passes its adjoint on through its
     layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,
     when given, replaces the barrier behavior at drawn stochastic nodes; its
-    arrays are in the node's shape. Both read the layer the trace holds.
+    arrays are `[rows, width]`. Both read the layer the trace holds.
 
     `need` lists the nodes whose adjoints the caller reads; None means every
     node. Only live nodes (see `Graph.liveness`) are swept, and a node skips
@@ -528,7 +612,8 @@ def backward(
     live nodes, added in the same order.
     """
     n = len(graph.nodes)
-    if len(trace.values) != n:
+    values = trace.values
+    if len(values) != n:
         raise ValueError("trace does not cover the graph")
     if need is None:
         live = [True] * n
@@ -537,6 +622,9 @@ def backward(
     adj: list = [None] * n
     for sid, sval in seeds.items():
         v = as_tensor(sval)
+        if v.shape == graph.nodes[sid].shape:
+            v = v[None]
+        v = _fit_rows(v, len(values[sid]))
         adj[sid] = v if adj[sid] is None else adj[sid] + v
 
     def sampler_vjp(node, values, a, j):
@@ -545,7 +633,6 @@ def backward(
             return stochastic_vjp(layer, values[node.id], a)
         return layer.mean_vjp(a)
 
-    values = trace.values
     with np.errstate(all="ignore"):
         for i in range(n - 1, -1, -1):
             a = adj[i]
@@ -566,12 +653,15 @@ def backward(
             for j, q in enumerate(node.parents):
                 if live[q]:
                     g = vjp(node, values, a, j)
+                    if len(g) != len(values[q]):
+                        g = _fit_rows(g, len(values[q]))
                     adj[q] = g if adj[q] is None else adj[q] + g
     return adj
 
 
 def gradients(graph: Graph, cost, wrt, trace: Trace) -> dict[int, np.ndarray]:
-    """d(cost)/d(node output) for each node in `wrt`, over the given trace.
+    """d(cost)/d(node output) for each node in `wrt`, in the node's shape,
+    summed over the trace's rows (the gradient of the rows' total cost).
 
     Unreachable targets get exact zero tensors, so the result is always keyed
     by the full `wrt` list.
@@ -584,5 +674,5 @@ def gradients(graph: Graph, cost, wrt, trace: Trace) -> dict[int, np.ndarray]:
     out = {}
     for w in wrt:
         g = adj[w]
-        out[w] = as_tensor(g) if g is not None else np.zeros(graph.nodes[w].shape)
+        out[w] = g.sum(axis=0) if g is not None else np.zeros(graph.nodes[w].shape)
     return out

@@ -247,6 +247,6 @@ def evaluate_nll(
         for r in range(rounds):
             tr = forward(graph, inputs, params, mode=Mode.STOCHASTIC,
                          rng_seed=_rng.fold(seed, i, r), validate=False)
-            vals.extend(float(tr.values[n]) for n in reads)
+            vals.extend(tr.values[n].item() for n in reads)
         total += reduce(vals[:n_samples])
     return total / len(X)

@@ -28,9 +28,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def softmax_adjoint(y: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """Adjoint `a` through a softmax over groups of `k` entries, at its output `y`."""
-    yk, ak = y.reshape(-1, k), a.reshape(-1, k)
-    return (yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))).reshape(a.shape)
+    """Adjoint `a` through a softmax over groups of `k` entries of the last axis,
+    at its output `y`; leading axes broadcast."""
+    yk, ak = y.reshape(y.shape[:-1] + (-1, k)), a.reshape(a.shape[:-1] + (-1, k))
+    out = yk * (ak - np.sum(ak * yk, axis=-1, keepdims=True))
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -5,11 +5,16 @@ enumerate every joint configuration, weight by its probability, and sum. That
 gives the exact expected cost, the exact gradient of the expected cost, and
 the exact expectation of any estimator, which is how unbiasedness claims are
 checked without appealing to sampling noise.
+
+The configurations are the rows of forced passes: `config_blocks` splits the
+joint support into blocks of consecutive configurations, sized so one pass
+holds at most `BLOCK_ELEMENTS` value entries, and each oracle runs one forced
+pass (and one sweep) per block. Every row of every block is checked for
+non-finite values, and an error names the node and the configuration.
 """
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +22,17 @@ import numpy as np
 
 from . import rng as _rng
 from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
-from .graph import _SAMPLERS, Graph, Mode, backward, forward
+from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forward
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
+# value entries one enumeration pass may hold: rows per block times the
+# entries one row of the graph's computed nodes takes. A pass's adjoints,
+# means and seeds take a few times as much again: enumerating a 12-unit
+# chain (4,096 configurations) for every estimator peaks 0.8 MiB above a
+# loop over configurations at 2**15 (256 KiB of values), 1.8 MiB at 2**16
+# and 3.7 MiB at 2**17.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -30,9 +42,14 @@ class EnumerationReport:
     config_count: int
 
 
-def enumerate_configs(graph: Graph):
-    """Yield every joint assignment {stochastic node id -> value}; the count is
-    checked against `MAX_CONFIGS` before any support is built."""
+def config_blocks(graph: Graph):
+    """Yield `(start, forced)` for consecutive blocks of the joint support.
+
+    `forced` maps each stochastic node id to `[rows, width]` values; row i
+    is configuration `start + i`, in `itertools.product` order over the
+    nodes (the last node changes fastest) of each node's `support`. The
+    count is checked against `MAX_CONFIGS` before any support is built.
+    """
     sids = graph.stochastic_ids
     if not sids:
         raise ValueError("graph has no stochastic nodes")
@@ -40,8 +57,24 @@ def enumerate_configs(graph: Graph):
     if count > MAX_CONFIGS:
         raise ValueError(f"joint support has {count} configurations (limit {MAX_CONFIGS})")
     supports = [cls.support(width, k) for cls, width, k in _families(graph)]
-    for combo in itertools.product(*supports):
-        yield dict(zip(sids, combo))
+    per_row = sum(math.prod(n.shape) for n in graph.nodes
+                  if n.kind not in (Kind.INPUT, Kind.PARAMETER))
+    rows = max(1, BLOCK_ELEMENTS // max(per_row, 1))
+    for start in range(0, count, rows):
+        index = np.arange(start, min(start + rows, count))
+        forced = {}
+        for sid, support in zip(reversed(sids), reversed(supports)):
+            index, digit = np.divmod(index, len(support))
+            forced[sid] = support[digit]
+        yield start, forced
+
+
+def enumerate_configs(graph: Graph):
+    """Yield every joint assignment {stochastic node id -> value}, configuration
+    by configuration: the rows of `config_blocks`."""
+    for _start, forced in config_blocks(graph):
+        for i in range(len(next(iter(forced.values())))):
+            yield {sid: forced[sid][i] for sid in graph.stochastic_ids}
 
 
 def config_count(graph: Graph) -> int:
@@ -55,15 +88,34 @@ def _families(graph: Graph) -> list[tuple[type, int, int | None]]:
     return [(_SAMPLERS[n.op].layer, n.shape[0], n.k) for n in nodes]
 
 
+def _located(where, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, reporting a non-finite value at `where(row)`."""
+    try:
+        return fn(*args, **kwargs)
+    except NonFiniteError as err:
+        raise ValueError(f"non-finite value produced at node {err.node} "
+                         f"in {where(err.row)}") from None
+
+
+def _on_block(start: int, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` for the block starting at configuration `start`."""
+    return _located(lambda row: f"configuration {start + row}", fn, *args, **kwargs)
+
+
+def _check_total(total_p: float) -> None:
+    if abs(total_p - 1.0) > 1e-9:
+        raise ValueError(f"configuration probabilities sum to {total_p!r}")
+
+
 def exact_expected_cost_and_grad(
     graph: Graph, cost, inputs=None, params=None, wrt=None
 ) -> EnumerationReport:
     """Exact E[f] and its gradient by summing over the joint support.
 
     Each configuration contributes p * (direct cost paths) + p * f * (score
-    seeds at the logits), both folded into one adjoint sweep per configuration
-    that computes only the adjoints `wrt` reads; with `wrt=[]` (the expected
-    cost alone) there is no sweep.
+    seeds at the logits), both folded into one adjoint sweep per block of
+    configurations that computes only the adjoints `wrt` reads; with `wrt=[]`
+    (the expected cost alone) there is no sweep.
     """
     cost = graph.node_id(cost)
     wrt = list(graph.param_ids if wrt is None else (graph.node_id(w) for w in wrt))
@@ -71,28 +123,26 @@ def exact_expected_cost_and_grad(
     total_p = 0.0
     grads = {w: np.zeros(graph.nodes[w].shape) for w in wrt}
     n = 0
-    for cfg in enumerate_configs(graph):
-        trace = forward(
-            graph, inputs, params, mode=Mode.STOCHASTIC, forced=cfg, validate=n == 0
-        )
-        p = math.exp(trace.logprob)
-        f = trace.cost_value(cost)
-        total_cost += p * f
-        total_p += p
-        n += 1
+    for start, forced in config_blocks(graph):
+        trace = _on_block(start, forward, graph, inputs, params, Mode.STOCHASTIC, forced=forced)
+        p = np.exp(trace.logprob)
+        f = trace.values[cost]
+        total_cost += float(p @ f)
+        total_p += float(np.sum(p))
+        n += len(p)
         if not wrt:
             continue
-        seeds = {cost: np.full((), p)}
+        seeds = {cost: p}
+        pf = (p * f)[:, None]
         for sid in graph.stochastic_ids:
             lp = graph.nodes[sid].parents[0]
-            contrib = p * f * trace.layers[sid].score(trace.values[sid], checked=True)
+            contrib = pf * trace.layers[sid].score(trace.values[sid], checked=True)
             seeds[lp] = seeds[lp] + contrib if lp in seeds else contrib
         adj = backward(graph, trace, seeds, need=wrt)
         for w in wrt:
             if adj[w] is not None:
-                grads[w] = grads[w] + adj[w]
-    if abs(total_p - 1.0) > 1e-9:
-        raise ValueError(f"configuration probabilities sum to {total_p!r}")
+                grads[w] = grads[w] + adj[w].sum(axis=0)
+    _check_total(total_p)
     return EnumerationReport(total_cost, grads, n)
 
 
@@ -106,50 +156,44 @@ def estimator_expectation(
 ) -> dict[int, np.ndarray]:
     """Exact expectation of one estimator draw under the current parameters.
 
-    Baseline statistics are snapshotted: every configuration sees an identical
-    copy of `baselines`, so the expectation is of a single draw from the given
-    state. Variance normalization makes the estimate nonlinear in the signal
-    and has no single-draw expectation to report, so "vn" is rejected.
-    `muprop`'s mean-field pass does not depend on the configuration, so it
-    runs once and every configuration reuses it. Each configuration's
-    probability comes from the estimator's own forced stochastic pass.
+    Each block of configurations is one `estimate` call over its forced rows,
+    weighted by the rows' probabilities from the estimator's own stochastic
+    pass, so one sweep per block gives the block's sum of p * estimate.
+    Baseline statistics are snapshotted: each block works on one copy of
+    `baselines`, and every row is adjusted against the given statistics, so
+    the expectation is of a single draw from the given state. Variance
+    normalization makes the estimate nonlinear in the signal and has no
+    single-draw expectation to report, so "vn" is rejected. `muprop`'s
+    mean-field pass does not depend on the configuration, so it runs once
+    and every block reuses it.
     """
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
     template = baselines if baselines is not None else BaselineState()
     idb_input = _default_idb_input(graph, inputs)
-    mf = mean_field_pass(graph, cost, inputs, params) if config.name == "muprop" else None
+    mf = None
+    if config.name == "muprop":
+        mf = _located(lambda row: "the mean-field pass", mean_field_pass, graph, cost, inputs, params)
     total: dict[int, np.ndarray] = {}
     total_p = 0.0
-    first = True
-    for cfg in enumerate_configs(graph):
-        est = estimate(
-            config,
-            graph,
-            cost,
-            inputs,
-            params,
-            rng_seed=None,
-            baselines=copy.deepcopy(template),
-            forced=cfg,
-            idb_input=idb_input,
-            mf=mf,
-            validate=first,
+    for start, forced in config_blocks(graph):
+        est = _on_block(
+            start, estimate, config, graph, cost, inputs, params, rng_seed=None,
+            baselines=copy.deepcopy(template), forced=forced, idb_input=idb_input,
+            mf=mf, weighted=True,
         )
-        p = math.exp(est.logprob)
-        total_p += p
+        total_p += float(np.sum(np.exp(est.logprob)))
         for w, g in est.grads.items():
-            total[w] = total.get(w, 0.0) + p * g
-        first = False
-    if abs(total_p - 1.0) > 1e-9:
-        raise ValueError(f"configuration probabilities sum to {total_p!r}")
+            total[w] = total[w] + g if w in total else g
+    _check_total(total_p)
     return {w: as_tensor(g) for w, g in total.items()}
 
 
 def _default_idb_input(graph: Graph, inputs) -> np.ndarray | None:
+    """The bound input with the smallest node id, flattened."""
     if not inputs:
         return None
-    first = sorted(inputs.items())[0][1]
+    _nid, first = min(((graph.node_id(k), v) for k, v in inputs.items()), key=lambda kv: kv[0])
     return np.asarray(first, dtype=np.float64).ravel()
 
 
@@ -188,7 +232,7 @@ def empirical_moments(
             mf=mf,
             validate=i == 0,
         )
-        cost_acc += est.cost
+        cost_acc += est.cost.item()
         for w, g in est.grads.items():
             if w not in mean:
                 mean[w] = np.zeros_like(g)

@@ -288,7 +288,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             idb_input=inputs["x"],
                             validate=step == 0,
                         )
-                    cost_acc += est.cost
+                    cost_acc += est.cost.item()
                     for pid, g in est.grads.items():
                         if pid in acc:
                             np.add(acc[pid], g, out=acc[pid])

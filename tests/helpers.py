@@ -174,7 +174,7 @@ def mf_fd_max_err(graph, cost, inputs, params, step: float = 1e-5) -> float:
     def cost_at():
         named = {graph.nodes[w].name or w: v for w, v in bound.items()}
         tr = forward(graph, inputs, named, mode=Mode.MEAN_FIELD, validate=False)
-        return float(tr.values[cost])
+        return tr.cost_value(cost)
 
     worst = 0.0
     for w in graph.param_ids:

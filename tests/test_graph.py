@@ -64,7 +64,7 @@ def test_forced_values_must_have_their_nodes_shape():
     params = {"th": np.zeros(2), "tc": np.zeros(6)}
     one_hot = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     ok = forward(g, params=params, forced={h: np.array([1.0, 0.0]), c: one_hot})
-    assert np.array_equal(ok.values[c], one_hot) and ok.barriers == {h, c}
+    assert np.array_equal(ok.values[c], one_hot[None]) and ok.barriers == {h, c}
     with pytest.raises(ValueError, match=rf"node {h}: .*\(2, 1\) != .* \(2,\)"):
         forward(g, params=params, forced={h: np.array([[1.0], [0.0]]), c: one_hot})
     with pytest.raises(ValueError, match=rf"node {c}: .*\(2, 3\) != .* \(6,\)"):
@@ -243,7 +243,7 @@ def test_every_op_vjp_matches_central_differences(case):
     step = 1e-6
     for p in parents:
         x = inputs[p]
-        assert adj[p].shape == x.shape, (op, p)
+        assert adj[p].shape == (1,) + x.shape, (op, p)  # one row: the input's
         fd = np.zeros(x.shape)
         for idx in np.ndindex(x.shape):
             orig = x[idx]
@@ -252,4 +252,4 @@ def test_every_op_vjp_matches_central_differences(case):
             x[idx] = orig - step
             fd[idx] = (up - objective()) / (2 * step)
             x[idx] = orig
-        assert np.allclose(adj[p], fd, rtol=1e-6, atol=1e-8), (op, p, adj[p], fd)
+        assert np.allclose(adj[p][0], fd, rtol=1e-6, atol=1e-8), (op, p, adj[p], fd)

@@ -71,7 +71,7 @@ def test_predictor_multi_sample_average_sits_between_extremes():
     # pin the three replicas to different hidden configurations
     forced = {s: np.array([float(i % 2)]) for i, s in enumerate(g.stochastic_ids)}
     tr = forward(g, {"x": x, "y": y}, params, forced=forced)
-    lps = [float(tr.values[n]) for n in g.meta["logp_nodes"]]
+    lps = [tr.values[n].item() for n in g.meta["logp_nodes"]]
     want = -(np.log(np.mean(np.exp(lps))))
     assert tr.cost_value(g.meta["cost"]) == pytest.approx(want, rel=1e-12)
     assert min(-np.array(lps)) <= want <= max(-np.array(lps))
@@ -89,7 +89,7 @@ def test_sbn_parameter_partition_and_bound_sign():
     params = init_params(g, 0)
     tr = forward(g, {"x": np.array([1.0, 0.0, 1.0])}, params, rng_seed=4)
     # the recorded bound node is exactly the negated cost
-    assert float(tr.values[g.meta["bound_node"]]) == pytest.approx(
+    assert tr.cost_value(g.meta["bound_node"]) == pytest.approx(
         -tr.cost_value(model.cost), rel=1e-14)
     with pytest.raises(ValueError):
         build_sbn_variational("2-3x4")  # categorical observation
@@ -157,7 +157,7 @@ def test_evaluate_nll_against_enumerated_likelihood():
         total = 0.0
         for cfg in enumerate_configs(g):
             tr = forward(g, {"x": X[i], "y": Y[i]}, params, forced=cfg)
-            p_h = math.exp(tr.logprob)
+            p_h = math.exp(tr.logprob.item())
             total += p_h * math.exp(-tr.cost_value(cost_node))
         exact += -math.log(total)
     exact /= len(X)

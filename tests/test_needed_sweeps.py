@@ -31,7 +31,7 @@ from muprop import (
 from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
-from muprop.oracle import enumerate_configs, sample_family
+from muprop.oracle import enumerate_configs, grad_relative_error, sample_family
 
 ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
 
@@ -149,7 +149,7 @@ def test_muprop_expectation_reuses_one_mean_field_pass(monkeypatch):
     # reference: one independent muprop draw (own mean-field pass) per configuration
     want: dict = {}
     for cfg in enumerate_configs(g):
-        prob = math.exp(forward(g, x, p, forced=cfg).logprob)
+        prob = math.exp(forward(g, x, p, forced=cfg).logprob.item())
         est = estimate(config, g, c, x, p, None, baselines=copy.deepcopy(state),
                        forced=cfg, idb_input=x["x"])
         for w, grad in est.grads.items():
@@ -159,8 +159,8 @@ def test_muprop_expectation_reuses_one_mean_field_pass(monkeypatch):
                         lambda *a, **k: calls.append(1) or mean_field_pass(*a, **k))
     got = estimator_expectation(config, g, c, x, p, baselines=state)
     assert calls == [1]
-    for w in want:
-        assert np.array_equal(got[w], want[w])
+    # the configurations are rows of one sweep, so their sum reassociates
+    assert grad_relative_error(got, want) < 1e-12
 
 
 # -- backward(need=...) rules ----------------------------------------------------
@@ -192,7 +192,7 @@ def test_seeds_survive_on_dead_nodes():
     seed_x = np.array([4.0, 5.0])
     adj = backward(g, tr, {c: np.ones(()), x: seed_x}, need=[w])
     full = backward(g, tr, {c: np.ones(()), x: seed_x})
-    assert np.array_equal(adj[x], seed_x)  # x is dead: its seed is all it holds
+    assert np.array_equal(adj[x], seed_x[None])  # x is dead: its seed is all it holds
     assert not np.array_equal(full[x], seed_x)
     assert np.array_equal(adj[w], full[w]) and adj[b] is None
     assert backward(g, tr, {c: np.ones(())}, need=["w"])[w] is not None  # names resolve

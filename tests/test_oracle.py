@@ -1,4 +1,8 @@
 """Enumeration oracle: exact expectations, moments, and the graph family."""
+import copy
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -145,11 +149,11 @@ def test_variance_normalization_has_no_expectation():
         )
 
 
-@pytest.mark.parametrize("name,passes", [("lr", 64), ("st", 64), ("half", 64),
-                                         ("muprop", 65), ("muprop_rollout", 192)])
-def test_estimator_expectation_runs_one_forced_pass_per_configuration(name, passes, monkeypatch):
-    """64 configurations: one forced pass each, plus muprop's shared mean-field
-    pass, or rollout's two per-layer anchor passes per configuration."""
+@pytest.mark.parametrize("name,passes", [("lr", 1), ("st", 1), ("half", 1),
+                                         ("muprop", 2), ("muprop_rollout", 3)])
+def test_estimator_expectation_runs_one_forced_pass_per_block(name, passes, monkeypatch):
+    """64 configurations in one block: one forced pass of 64 rows, plus muprop's
+    shared mean-field pass, or rollout's two per-layer anchor passes."""
     fam = sample_family(9)
     assert config_count(fam.graph) == 64 and len(stochastic_layers(fam.graph)) == 2
     calls = []
@@ -197,7 +201,7 @@ def test_exact_variances_single_unit_quadratic():
         m1 = m2 = 0.0
         for cfg in enumerate_configs(g):
             tr = forward(g, params=params, forced=cfg)
-            p = math.exp(tr.logprob)
+            p = math.exp(tr.logprob.item())
             est = estimate(EstimatorConfig(name), g, c, None, params, None,
                            forced=cfg)
             v = float(est.grads[th])
@@ -256,3 +260,138 @@ def test_chain_layout_matches_graph():
     assert np.array_equal(fam.graph.constants[a_id], layout["a"])
     rep = exact_expected_cost_and_grad(fam.graph, fam.cost, fam.inputs, fam.params)
     assert rep.config_count == 2 ** sum(layout["sizes"][1:])
+
+
+# -- configurations as rows -----------------------------------------------------
+
+SCORE_FLAG_SETS = ((), ("c",), ("c", "idb"))
+
+
+def row_cases():
+    """sample_family(0..7) and one 3-layer Bernoulli chain."""
+    cases = [sample_family(seed) for seed in range(8)]
+    return cases + [make_chain(4, 3, sizes=[2, 2, 3, 2])[0]]
+
+
+def per_configuration(graph, cost, inputs, params, config, state):
+    """Reference expectation: one-row `estimate` per configuration, each on a
+    fresh copy of `state`, weighted by its forced pass's probability."""
+    from muprop import estimate, forward
+
+    total = {}
+    for cfg in enumerate_configs(graph):
+        p = np.exp(forward(graph, inputs, params, forced=cfg).logprob.item())
+        est = estimate(config, graph, cost, inputs, params, None,
+                       baselines=copy.deepcopy(state), forced=cfg, idb_input=inputs["x"])
+        for w, g in est.grads.items():
+            total[w] = total.get(w, 0.0) + p * g
+    return total
+
+
+def test_rowed_oracles_match_a_per_configuration_loop():
+    from muprop import forward
+
+    for fam in row_cases():
+        g, c, x, p = fam.graph, fam.cost, fam.inputs, fam.params
+        state = BaselineState(b={s: 0.3 for s in g.stochastic_ids}, seed=2)
+        # the exact gradient is the expectation of the plain score-function draw
+        rep = exact_expected_cost_and_grad(g, c, x, p)
+        want = per_configuration(g, c, x, p, EstimatorConfig("lr"), BaselineState())
+        assert grad_relative_error(rep.grads, want) < 1e-12
+        want_cost = sum(math.exp(t.logprob.item()) * t.cost_value(c)
+                        for t in (forward(g, x, p, forced=cfg) for cfg in enumerate_configs(g)))
+        assert relative_error(rep.expected_cost, want_cost) < 1e-12
+        assert rep.config_count == config_count(g)
+        for name in estimators_mod.ESTIMATORS:
+            for flags in SCORE_FLAG_SETS if name in estimators_mod.SCORE_ESTIMATORS else ((),):
+                config = EstimatorConfig(name, flags=flags)
+                got = estimator_expectation(config, g, c, x, p, baselines=state)
+                want = per_configuration(g, c, x, p, config, state)
+                assert grad_relative_error(got, want) < 1e-12, (fam.kinds, name, flags)
+
+
+def test_rows_follow_the_itertools_configuration_order():
+    """Row i of the enumeration is configuration i of the product of supports."""
+    for seed in (0, 3, 5, 9):
+        g = sample_family(seed).graph
+        supports = []
+        for sid in g.stochastic_ids:
+            node = g.nodes[sid]
+            if node.op == "bernoulli":
+                supports.append([np.array(bits[::-1]) for bits in
+                                 itertools.product((0.0, 1.0), repeat=node.shape[0])])
+            else:
+                eye = np.eye(node.k)
+                supports.append([eye[list(idx)].reshape(node.shape) for idx in
+                                 itertools.product(range(node.k), repeat=node.shape[0] // node.k)])
+        want = list(itertools.product(*supports))
+        got = list(enumerate_configs(g))
+        assert len(got) == len(want)
+        for cfg, combo in zip(got, want):
+            assert all(np.array_equal(cfg[s], v) for s, v in zip(g.stochastic_ids, combo))
+
+
+def test_blocks_of_rows_sum_to_the_single_block(monkeypatch):
+    """Splitting the support into many blocks changes only the summation order;
+    every block sees the caller's baseline statistics."""
+    cases = [sample_family(s) for s in (1, 9)] + [make_chain(4, 3, sizes=[2, 2, 3, 2])[0]]
+    configs = [EstimatorConfig(name, flags=("c", "idb") if name in estimators_mod.SCORE_ESTIMATORS
+                               else ()) for name in estimators_mod.ESTIMATORS]
+
+    def run(fam):
+        state = BaselineState(b={s: 0.3 for s in fam.graph.stochastic_ids}, seed=2)
+        args = (fam.graph, fam.cost, fam.inputs, fam.params)
+        rep = exact_expected_cost_and_grad(*args)
+        return rep, [estimator_expectation(cfg, *args, baselines=state) for cfg in configs]
+
+    whole = [run(fam) for fam in cases]
+    monkeypatch.setattr(oracle_mod, "BLOCK_ELEMENTS", 1)  # one configuration per block
+    blocks = [len(list(oracle_mod.config_blocks(fam.graph))) for fam in cases]
+    assert blocks == [config_count(fam.graph) for fam in cases] and min(blocks) >= 8
+    for fam, (rep, exps) in zip(cases, whole):
+        got_rep, got_exps = run(fam)
+        assert relative_error(got_rep.expected_cost, rep.expected_cost) < 1e-12
+        assert grad_relative_error(got_rep.grads, rep.grads) < 1e-12
+        for cfg, got, want in zip(configs, got_exps, exps):
+            assert grad_relative_error(got, want) < 1e-12, cfg.name
+    monkeypatch.setattr(oracle_mod, "BLOCK_ELEMENTS", 7 * 40)  # a few rows per block
+    fam = cases[1]
+    assert 1 < len(list(oracle_mod.config_blocks(fam.graph))) < config_count(fam.graph)
+    got_rep, got_exps = run(fam)
+    assert grad_relative_error(got_rep.grads, whole[1][0].grads) < 1e-12
+    assert all(grad_relative_error(a, b) < 1e-12 for a, b in zip(got_exps, whole[1][1]))
+
+
+def test_a_non_finite_configuration_is_named():
+    """Every configuration is checked, not just the first one."""
+    from muprop import forward
+
+    g = Graph()
+    h = g.bernoulli(g.parameter((1,), "th"))
+    big = g.constant(np.array([1e200]))
+    sq = g.square(g.mul(h, big))
+    c = g.cost(g.sum(sq))
+    params = {"th": np.zeros(1)}
+    assert sq == 4
+    with pytest.raises(ValueError, match="non-finite value produced at node 4"):
+        forward(g, params=params, forced={h: np.array([1.0])})
+    assert np.isfinite(forward(g, params=params, forced={h: np.array([0.0])}).cost_value(c))
+    with pytest.raises(ValueError, match="node 4 in configuration 1"):
+        exact_expected_cost_and_grad(g, c, params=params)
+    for name in estimators_mod.ESTIMATORS:
+        # muprop's shared mean-field pass (h = 0.5) overflows before any configuration
+        where = "the mean-field pass" if name == "muprop" else "configuration 1"
+        with pytest.raises(ValueError, match=f"node 4 in {where}"):
+            estimator_expectation(EstimatorConfig(name), g, c, params=params)
+
+
+def test_idb_input_is_the_input_with_the_smallest_id():
+    fam = sample_family(0)
+    x = fam.inputs["x"]
+    config = EstimatorConfig("lr", flags=("c", "idb"))
+    args = (fam.graph, fam.cost)
+    plain = estimator_expectation(config, *args, {"x": x}, fam.params)
+    mixed = estimator_expectation(config, *args, {"x": x, 0: x}, fam.params)
+    for w in plain:
+        assert np.array_equal(plain[w], mixed[w])
+    assert np.array_equal(oracle_mod._default_idb_input(fam.graph, {0: x, "x": x}), x)

@@ -7,6 +7,19 @@ running this tool on the tree before and after it:
     python3 tools/exactness_digest.py                  # this checkout's src/
     python3 tools/exactness_digest.py /path/to/src     # another tree's src/
 
+A change that may reassociate floating-point sums in some group is checked
+by dumping every hashed value and comparing the dumps; `--compare` prints,
+per group, the count of float values whose bits differ and the worst
+relative error max |a - b| / max(1e-8, |b|):
+
+    python3 tools/exactness_digest.py --dump new.npz
+    python3 tools/exactness_digest.py /path/to/src --dump old.npz
+    python3 tools/exactness_digest.py --compare new.npz old.npz
+
+Arrays are hashed and dumped with a leading axis of one row dropped, and a
+single value as a plain float, so an engine that gives its values a leading
+row axis (one row per draw) hashes the same numbers as one that does not.
+
 It uses only public names that have been stable across refactors (`forward`,
 `estimate`, the oracle functions, the model builders, `run_experiment`,
 `load_checkpoint`), so it also runs against an exported copy of an older
@@ -26,6 +39,7 @@ The groups:
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -41,8 +55,48 @@ SCORE = ("lr", "muprop", "muprop_rollout")
 ESTIMATORS = SCORE + ("st", "half")
 
 
-def _feed(h, obj) -> None:
+class Sink:
+    """A SHA-256 digest of the values fed to it and, with `keep`, the values
+    themselves: float leaves in `floats`, every other leaf's bytes in
+    `exact`, and each leaf's kind and shape in `layout`."""
+
+    def __init__(self, keep: bool = False):
+        self.hash = hashlib.sha256()
+        self.keep = keep
+        self.floats: list[np.ndarray] = []
+        self.exact: list[bytes] = []
+        self.layout: list[str] = []
+
+    def update(self, data: bytes) -> None:
+        self.hash.update(data)
+
+    def leaf(self, value) -> None:
+        if not self.keep:
+            return
+        if isinstance(value, bytes):
+            self.exact.append(value)
+            self.layout.append(f"b{len(value)}")
+        else:
+            self.floats.append(np.ravel(value))
+            self.layout.append(f"f{np.shape(value)}")
+
+    def hexdigest(self) -> str:
+        return self.hash.hexdigest()
+
+    def arrays(self, group: str) -> dict[str, np.ndarray]:
+        return {
+            f"{group}.floats": np.concatenate(self.floats) if self.floats else np.zeros(0),
+            f"{group}.exact": np.frombuffer(b"".join(self.exact), dtype=np.uint8),
+            f"{group}.layout": np.frombuffer("\n".join(self.layout).encode(), dtype=np.uint8),
+        }
+
+
+def _feed(h: Sink, obj) -> None:
     """Hash a nest of dicts, sequences, arrays and scalars, keys sorted."""
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.shape[0] == 1:
+        obj = obj.reshape(obj.shape[1:])  # one row: the node's shape
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        obj = float(obj)
     if isinstance(obj, dict):
         h.update(b"{")
         for key in sorted(obj, key=repr):
@@ -55,12 +109,19 @@ def _feed(h, obj) -> None:
             _feed(h, item)
         h.update(b"]")
     elif isinstance(obj, np.ndarray):
+        a = np.ascontiguousarray(obj, dtype=np.float64)
         h.update(repr(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj, dtype=np.float64).tobytes())
+        h.update(a.tobytes())
+        h.leaf(a)
     elif isinstance(obj, bytes):
         h.update(obj)
+        h.leaf(obj)
+    elif isinstance(obj, (float, np.floating)):
+        h.update(repr(float(obj)).encode())
+        h.leaf(np.float64(obj))
     else:
-        h.update(repr(float(obj) if isinstance(obj, np.floating) else obj).encode())
+        h.update(repr(obj).encode())
+        h.leaf(repr(obj).encode())
 
 
 def _estimate_record(est) -> dict:
@@ -169,17 +230,58 @@ GROUPS = (("forced", _forced), ("oracle", _oracle), ("draws", _draws),
           ("nll", _nll), ("training", _training))
 
 
+def compare(path_a: str, path_b: str) -> int:
+    """Print each group's worst relative error between two dumps. Returns 1
+    if a group's layout or its exact (non-float) values differ, or if a value
+    is finite in one dump only."""
+    a, b = np.load(path_a), np.load(path_b)
+    status = 0
+    for name, _run in GROUPS:
+        if not all(f"{name}.{part}" in d.files for d in (a, b) for part in ("floats", "layout")):
+            print(f"{name:9s} missing from a dump")
+            status = 1
+            continue
+        x, y = a[f"{name}.floats"], b[f"{name}.floats"]
+        same_layout = np.array_equal(a[f"{name}.layout"], b[f"{name}.layout"])
+        if not (same_layout and np.array_equal(a[f"{name}.exact"], b[f"{name}.exact"])):
+            print(f"{name:9s} layouts or exact values differ")
+            status = 1
+            continue
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
+            status = 1
+        differ = int(np.count_nonzero(x[finite].view(np.int64) != y[finite].view(np.int64)))
+        rel = np.abs(x[finite] - y[finite]) / np.maximum(1e-8, np.abs(y[finite]))
+        print(f"{name:9s} values {x.size:8d}  differ {differ:7d}  "
+              f"worst relative error {float(np.max(rel, initial=0.0)):.3e}")
+    return status
+
+
 def main(argv) -> int:
-    src = os.path.abspath(argv[1] if len(argv) > 1 else os.path.join(HERE, os.pardir, "src"))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?", default=os.path.join(HERE, os.pardir, "src"),
+                    help="the src/ directory to import muprop from")
+    ap.add_argument("--dump", metavar="PATH.npz", help="also write every hashed value")
+    ap.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
+                    help="compare two dumps instead of computing digests")
+    args = ap.parse_args(argv[1:])
+    if args.compare:
+        return compare(*args.compare)
+    src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import muprop as mp
 
     if not os.path.abspath(mp.__file__).startswith(src + os.sep):
         sys.exit(f"imported muprop from {mp.__file__}, not from {src}")
+    dump: dict[str, np.ndarray] = {}
     for name, run in GROUPS:
-        h = hashlib.sha256()
+        h = Sink(keep=bool(args.dump))
         run(mp, h)
         print(f"{name:9s} {h.hexdigest()}")
+        if args.dump:
+            dump.update(h.arrays(name))
+    if args.dump:
+        np.savez_compressed(args.dump, **dump)
     return 0
 
 
