@@ -9,10 +9,12 @@ returns is `[..., width]`: the node's 1-D shape after any leading row axes.
 The engine passes one row axis, one row per draw or forced configuration.
 Leading axes broadcast, so logits that do not depend on the rows (a first
 layer's, say) are held as one row against values with many. `log_prob`
-returns one value per row. `CategoricalLayer` groups the last axis into units
-of `k` internally. A layer computes its mean at most once, on first use, so
-`sample`, `score`, `mean_vjp` and `half` share it. `support` returns every
-value of a node as the rows of one array.
+returns one value per row. `sample` turns each row of uniforms (`uniforms`
+per row, from the node's width and `k`) into that row's draw, so a pass of
+many rows draws them all at once. `CategoricalLayer` groups the last axis
+into units of `k` internally. A layer computes its mean at most once, on
+first use, so `sample`, `score`, `mean_vjp` and `half` share it. `support`
+returns every value of a node as the rows of one array.
 """
 from __future__ import annotations
 
@@ -29,6 +31,13 @@ class _Layer:
         self.k = k
         self._mean: np.ndarray | None = None
 
+    def _uniforms(self, u) -> np.ndarray:
+        """`u` as `[rows, uniforms]`; a Generator draws one row of them."""
+        if isinstance(u, np.random.Generator):
+            count = self.uniforms(self.logits.shape[-1], self.k)
+            return u.random(self.logits.shape[:-1] + (count,))
+        return u
+
     def _check_shape(self, value: np.ndarray) -> np.ndarray:
         value = as_tensor(value)
         if value.ndim != self.logits.ndim or value.shape[-1:] != self.logits.shape[-1:]:
@@ -44,9 +53,9 @@ class BernoulliLayer(_Layer):
             self._mean = sigmoid(self.logits)
         return self._mean
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.logits.shape)
-        return (u < self.mean()).astype(np.float64)
+    def sample(self, u) -> np.ndarray:
+        """One draw per row of `u`, uniforms `[rows, width]` (or a Generator)."""
+        return (self._uniforms(u) < self.mean()).astype(np.float64)
 
     def validate(self, value: np.ndarray) -> np.ndarray:
         value = self._check_shape(value)
@@ -76,6 +85,11 @@ class BernoulliLayer(_Layer):
         return adj * m * (1.0 - m) / (2.0 * np.maximum(p, clamp)), int(np.count_nonzero(p < clamp))
 
     @staticmethod
+    def uniforms(width: int, k: int | None = None) -> int:
+        """Uniforms one draw takes: one per unit."""
+        return width
+
+    @staticmethod
     def support_size(width: int, k: int | None = None) -> int:
         return 2 ** width
 
@@ -102,11 +116,12 @@ class CategoricalLayer(_Layer):
             self._mean = softmax(self._units(self.logits), axis=-1).reshape(self.logits.shape)
         return self._mean
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, u) -> np.ndarray:
+        """One draw per row of `u`, uniforms `[rows, units]` (or a Generator)."""
         cdf = np.cumsum(self._units(self.mean()), axis=-1)
-        r = rng.random(cdf.shape[:-1] + (1,))
-        idx = np.minimum((cdf <= r).sum(axis=-1), self.k - 1)
-        return np.eye(self.k)[idx].reshape(self.logits.shape)
+        u = self._uniforms(u)
+        idx = np.minimum((cdf <= u[..., None]).sum(axis=-1), self.k - 1)
+        return np.eye(self.k)[idx].reshape(u.shape[:-1] + (-1,))
 
     def validate(self, value: np.ndarray) -> np.ndarray:
         value = self._check_shape(value)
@@ -138,6 +153,11 @@ class CategoricalLayer(_Layer):
         jac_sel = sel_p * (value - probs)  # d P(x) / d logits, per unit
         g = coeff * jac_sel / np.maximum(sel_p, clamp)
         return g.reshape(g.shape[:-2] + (-1,)), int(np.count_nonzero(sel_p < clamp))
+
+    @staticmethod
+    def uniforms(width: int, k: int) -> int:
+        """Uniforms one draw takes: one per unit of `k` categories."""
+        return width // k
 
     @staticmethod
     def support_size(width: int, k: int) -> int:

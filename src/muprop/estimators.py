@@ -19,12 +19,26 @@ The three score-function estimators run one loop, `_score_estimate`, and
 differ only in their anchors: none (`lr`), one mean-field pass (`muprop`),
 or one pinned pass per layer (`muprop_rollout`).
 
-An estimate covers every row of its stochastic trace: one draw, or the forced
-configurations of a block (`forced` values with a leading row axis). Its
-cost, log-probability and per-node diagnostics are per row, and its gradient
-is one sweep summed over the rows. With `weighted`, each row's seeds are first
-scaled by the row's probability, read off the same trace, so the gradient is
-the sum of p * (each row's estimate): an exact expectation over the block.
+An estimate covers every row of its stochastic trace: one draw, a block of
+draws (a sequence of seeds, one per row), or the forced configurations of a
+block (`forced` values with a leading row axis). Its cost, log-probability
+and per-node diagnostics are per row, and its gradient is one sweep summed
+over the rows (kept per row with `per_row`). What the rows mean decides how
+they meet the baseline statistics:
+
+* Unweighted rows are successive draws. Row i is adjusted against the
+  statistics rows 0..i-1 left behind, and with flag "idb" the net predicts
+  once and takes one regression step per row, so a block of rows leaves the
+  same state as the same draws made one call at a time. The signals never
+  read that state, so the recurrence is a scalar loop run after the batched
+  passes.
+* With `weighted`, the rows are the configurations of a single draw: each
+  row's seeds are scaled by its probability, read off the same trace, so the
+  gradient is the sum of p * (each row's estimate), an exact expectation over
+  the block. Every row is adjusted against the given statistics, which are
+  read and never written.
+
+Without a `baselines` state to keep, every row sees fresh statistics.
 
 Baselines never change what the estimators report as the raw learning signal;
 diagnostics always carry the pre-baseline value.
@@ -117,46 +131,62 @@ def apply_baselines(
     flags,
     idb_pred: float | None = None,
     diag: dict | None = None,
+    update: bool = True,
 ) -> float | np.ndarray:
-    """Center/normalize a learning signal, one per row, and update the moving statistics.
+    """Center/normalize a learning signal, one per row (or a scalar).
 
     Order: subtract the moving mean (flag "c"), subtract `idb_pred`, the idb
     net's prediction for the draw's input sample (flag "idb"), then divide by
-    max(1, sqrt(v)) (flag "vn", always last). Every row is adjusted against
-    the statistics as they stand; then the rows update them, in row order.
+    max(1, sqrt(v)) (flag "vn", always last). With `update` the rows are
+    successive draws: row i is adjusted against the statistics that rows
+    0..i-1 left behind, and each row folds its signal into them. Without it
+    every row is adjusted against the statistics as they stand, and the
+    state is not written.
     """
     flags = frozenset(flags)
     bad = flags - VALID_FLAGS
     if bad:
         raise ValueError(f"unknown baseline flags {sorted(bad)}")
+    if "idb" in flags and idb_pred is None:
+        raise ValueError("idb flag requires the prediction for the input sample")
     b = state.b.get(node_id, 0.0)
     v = state.v.get(node_id, 0.0)
 
+    if update:
+        d = BASELINE_DECAY
+        seen = []  # (b, v) before each row
+        for s in signal.tolist() if isinstance(signal, np.ndarray) else [signal]:
+            seen.append((b, v))
+            centered = s - _subtracted(flags, b, idb_pred)
+            b = d * b + (1.0 - d) * s
+            v = d * v + (1.0 - d) * centered * centered
+        state.b[node_id] = b
+        state.v[node_id] = v
+        b, v = np.array(seen).T if isinstance(signal, np.ndarray) else seen[0]
+
+    subtracted = _subtracted(flags, b, idb_pred)
     adjusted = signal
-    subtracted = 0.0
     if "c" in flags:
         adjusted = adjusted - b
-        subtracted += b
     if "idb" in flags:
-        if idb_pred is None:
-            raise ValueError("idb flag requires the prediction for the input sample")
         adjusted = adjusted - idb_pred
-        subtracted += idb_pred
     if "vn" in flags:
-        adjusted = adjusted / max(1.0, math.sqrt(v))
-
-    d = BASELINE_DECAY
-    for s in signal.tolist() if isinstance(signal, np.ndarray) else [signal]:
-        centered = s - subtracted
-        b = d * b + (1.0 - d) * s
-        v = d * v + (1.0 - d) * centered * centered
-    state.b[node_id] = b
-    state.v[node_id] = v
+        adjusted = adjusted / np.maximum(1.0, np.sqrt(v))
     if diag is not None:
         diag["signal"] = signal
         diag["baseline"] = subtracted
         diag["adjusted"] = adjusted
     return adjusted
+
+
+def _subtracted(flags, b, idb_pred):
+    """What the flags take off a signal: b with "c", plus the prediction with "idb"."""
+    out = 0.0
+    if "c" in flags:
+        out += b
+    if "idb" in flags:
+        out += idb_pred
+    return out
 
 
 def idb_update(
@@ -177,8 +207,9 @@ def idb_update(
 @dataclass
 class GradientEstimate:
     """Parameter gradients summed over the rows (probability-weighted with
-    `weighted`); the cost, log-probability and diagnostics per row; and the
-    number of passes run, however many rows each had."""
+    `weighted`, `[rows, *shape]` with `per_row`); the cost, log-probability
+    and diagnostics per row; and the number of passes run, however many rows
+    each had."""
 
     grads: dict[int, np.ndarray]
     cost: np.ndarray
@@ -202,20 +233,61 @@ def _check_stochastic_trace(graph: Graph, trace: Trace) -> None:
 
 
 def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None,
-                 weighted: bool = False):
+                 weighted: bool = False, per_row: bool = False):
     """Final sweep: the seeds' gradient at every parameter, summed over the
-    rows, zeros if unreached. With `weighted`, each row's seeds are scaled by
-    its probability first."""
+    rows (`[rows, *shape]`, one per row, with `per_row`), zeros if unreached.
+    With `weighted`, each row's seeds are scaled by its probability first."""
     if weighted:
         p = np.exp(trace.logprob)
         seeds = {nid: p.reshape(p.shape + (1,) * len(graph.nodes[nid].shape)) * s
                  for nid, s in seeds.items()}
-    adj = backward(graph, trace, seeds, stochastic_vjp, need=graph.param_ids)
+    adj = backward(graph, trace, seeds, stochastic_vjp, need=graph.param_ids, per_row=per_row)
     out = {}
     for pid in graph.param_ids:
         g = adj[pid]
-        out[pid] = as_tensor(g[0]) if g is not None else np.zeros(graph.nodes[pid].shape)
+        shape = graph.nodes[pid].shape
+        if per_row:
+            rows = len(trace.logprob)
+            if g is None or len(g) != rows:
+                g = np.zeros((rows,) + shape) if g is None else np.broadcast_to(g, (rows,) + shape)
+            out[pid] = g
+        else:
+            out[pid] = as_tensor(g[0]) if g is not None else np.zeros(shape)
     return out
+
+
+def _adjusted_signals(signals: dict, state: BaselineState, flags, idb_input, node_diag: dict,
+                      update: bool) -> dict:
+    """Each node's adjusted signal per row, by `apply_baselines`; with
+    `update`, the rows are successive draws and the state evolves over them
+    in row order (see the module docstring)."""
+    if "idb" not in flags:
+        return {sid: apply_baselines(sig, sid, state, flags, diag=node_diag[sid], update=update)
+                for sid, sig in signals.items()}
+    x = np.asarray(idb_input, dtype=np.float64).ravel()
+    if not update:
+        net = state.idb if state.idb is not None else IdbNet(x.size, state.idb_hidden, state.seed)
+        pred = net.value(x)
+        return {sid: apply_baselines(sig, sid, state, flags, pred, node_diag[sid], update=False)
+                for sid, sig in signals.items()}
+    # each row's prediction comes from the net its predecessors trained
+    net = state.ensure_idb(x.size)
+    rows = {sid: sig.tolist() for sid, sig in signals.items()}
+    adjusted = {sid: [] for sid in signals}
+    subtracted = {sid: [] for sid in signals}
+    for i in range(len(next(iter(rows.values())))):
+        pred = net.value(x)
+        for sid, sig in rows.items():
+            d = {}
+            adjusted[sid].append(apply_baselines(sig[i], sid, state, flags, pred, d))
+            subtracted[sid].append(d["baseline"])
+        raws = [sig[i] for sig in rows.values()]
+        target = float(np.mean(raws) - np.mean([state.b[sid] for sid in rows]))
+        idb_update(state, x, target, IDB_LR)
+    for sid in signals:
+        node_diag[sid].update(signal=signals[sid], baseline=np.array(subtracted[sid]),
+                              adjusted=np.array(adjusted[sid]))
+    return {sid: np.array(a) for sid, a in adjusted.items()}
 
 
 def _score_estimate(
@@ -227,6 +299,7 @@ def _score_estimate(
     flags,
     idb_input: np.ndarray | None,
     weighted: bool = False,
+    per_row: bool = False,
     **fields,
 ) -> GradientEstimate:
     """The score-function loop shared by `lr`, `muprop` and `muprop_rollout`.
@@ -235,22 +308,19 @@ def _score_estimate(
     node's learning signal is the cost (`lr`). An anchor `(values, adjoints,
     cost)` of a mean-field pass makes it MuProp: the signal is the residual
     f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i), and the linear term comes
-    back through the mean map. Signals, anchors and seeds are per row. Each
-    signal goes through `apply_baselines`. With flag "idb", the net predicts
-    once per call (every row shares the input), and after the last signal it
-    takes one regression step toward the mean raw signal minus the mean
-    updated moving baseline.
+    back through the mean map. Signals, anchors and seeds are per row. Once
+    every signal is known, the baseline recurrence adjusts them row by row
+    (`apply_baselines`; with flag "idb" the net predicts and takes one
+    regression step per row, toward the row's mean raw signal minus the mean
+    updated moving baseline), and each seed is the score times its row's
+    adjusted signal.
     """
     _check_stochastic_trace(graph, trace)
-    state = baselines if baselines is not None else BaselineState()
-    idb_pred = None
-    if "idb" in flags:
-        if idb_input is None:
-            raise ValueError("idb flag requires the input sample")
-        x_in = np.asarray(idb_input, dtype=np.float64).ravel()
-        idb_pred = state.ensure_idb(x_in.size).value(x_in)
+    if "idb" in flags and idb_input is None:
+        raise ValueError("idb flag requires the input sample")
     f = trace.values[cost]
-    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
+    signals: dict[int, np.ndarray] = {}
+    parts: dict[int, tuple] = {}  # node -> (score, mean-map seed or None)
     node_diag: dict[int, dict] = {}
     for sids, anchor in groups:
         for sid in sids:
@@ -258,26 +328,27 @@ def _score_estimate(
             x = trace.values[sid]
             score = layer.score(x, checked=True)
             if anchor is None:
-                signal, d = f, {}
+                signals[sid], node_diag[sid], linear = f, {}, None
             else:
                 values, adj, anchor_cost = anchor
                 gbar = np.zeros(x.shape) if adj[sid] is None else adj[sid]
                 # one dot product per row: gbar_r . (x_r - xbar_r)
                 slope = ((x - values[sid])[:, None, :] @ gbar[:, :, None])[:, 0, 0]
-                signal = f - anchor_cost - slope
-                d = {"residual": signal, "anchor_cost": anchor_cost}
-            adjusted = apply_baselines(signal, sid, state, flags, idb_pred, diag=d)
-            node_diag[sid] = d
-            seed = score * adjusted[:, None]
-            if anchor is not None:
-                seed = seed + layer.mean_vjp(gbar)
-            _add_seed(seeds, graph.nodes[sid].parents[0], seed)
-    if "idb" in flags:
-        raws = [d["signal"] for d in node_diag.values()]
-        target = float(np.mean(raws) - np.mean([state.b[sid] for sid in node_diag]))
-        idb_update(state, x_in, target, IDB_LR)
+                signals[sid] = f - anchor_cost - slope
+                node_diag[sid] = {"residual": signals[sid], "anchor_cost": anchor_cost}
+                linear = layer.mean_vjp(gbar)
+            parts[sid] = (score, linear)
+    update = baselines is not None and not weighted
+    state = baselines if baselines is not None else BaselineState()
+    adjusted = _adjusted_signals(signals, state, flags, idb_input, node_diag, update)
+    seeds: dict[int, np.ndarray] = {cost: np.ones(())}
+    for sid, (score, linear) in parts.items():
+        seed = score * adjusted[sid][:, None]
+        if linear is not None:
+            seed = seed + linear
+        _add_seed(seeds, graph.nodes[sid].parents[0], seed)
     return GradientEstimate(
-        _param_grads(graph, trace, seeds, weighted=weighted), f, node_diag,
+        _param_grads(graph, trace, seeds, weighted=weighted, per_row=per_row), f, node_diag,
         logprob=trace.logprob, **fields,
     )
 
@@ -290,6 +361,7 @@ def lr_estimate(
     flags=(),
     idb_input: np.ndarray | None = None,
     weighted: bool = False,
+    per_row: bool = False,
 ) -> GradientEstimate:
     """Score-function estimator: each node's score times the (adjusted) cost.
 
@@ -298,10 +370,11 @@ def lr_estimate(
     """
     cost = graph.node_id(cost)
     groups = [(graph.stochastic_ids, None)]
-    return _score_estimate(graph, trace, cost, groups, baselines, flags, idb_input, weighted)
+    return _score_estimate(graph, trace, cost, groups, baselines, flags, idb_input, weighted,
+                           per_row)
 
 
-def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True):
+def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool | str = True):
     """Deterministic relaxation pass plus the adjoint sweep its readers need.
 
     The adjoint list holds the cost's derivative at every stochastic node
@@ -320,14 +393,15 @@ def muprop_estimate(
     cost,
     inputs,
     params,
-    rng_seed: int | None,
+    rng_seed,
     baselines: BaselineState | None = None,
     flags=(),
     forced=None,
     idb_input: np.ndarray | None = None,
     mf=None,
-    validate: bool = True,
+    validate: bool | str = True,
     weighted: bool = False,
+    per_row: bool = False,
 ) -> GradientEstimate:
     """Taylor-anchored unbiased estimator around one mean-propagation trunk.
 
@@ -348,7 +422,7 @@ def muprop_estimate(
     mf_cost = mf_trace.values[cost]
     groups = [(graph.stochastic_ids, (mf_trace.values, mf_adj, mf_cost))]
     return _score_estimate(
-        graph, st_trace, cost, groups, baselines, flags, idb_input, weighted,
+        graph, st_trace, cost, groups, baselines, flags, idb_input, weighted, per_row,
         mean_field_passes=mf_passes, stochastic_passes=1, extra={"mean_field_cost": mf_cost},
     )
 
@@ -371,13 +445,14 @@ def muprop_rollout_estimate(
     cost,
     inputs,
     params,
-    rng_seed: int | None,
+    rng_seed,
     baselines: BaselineState | None = None,
     flags=(),
     forced=None,
     idb_input: np.ndarray | None = None,
-    validate: bool = True,
+    validate: bool | str = True,
     weighted: bool = False,
+    per_row: bool = False,
 ) -> GradientEstimate:
     """Taylor-anchored estimator with per-layer re-anchoring.
 
@@ -405,12 +480,13 @@ def muprop_rollout_estimate(
                 pinned[sid] = st_trace.values[sid]
 
     return _score_estimate(
-        graph, st_trace, cost, groups(), baselines, flags, idb_input, weighted,
+        graph, st_trace, cost, groups(), baselines, flags, idb_input, weighted, per_row,
         mean_field_passes=len(layer_groups), stochastic_passes=1,
     )
 
 
-def st_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> GradientEstimate:
+def st_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False,
+                per_row: bool = False) -> GradientEstimate:
     """Straight-through: treat each drawn sample as if it were the mean.
 
     The sweep applies the mean-map derivative (including the sigmoid/softmax
@@ -421,11 +497,12 @@ def st_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> Gra
     _check_stochastic_trace(graph, trace)
 
     grads = _param_grads(graph, trace, {cost: np.ones(())}, lambda layer, x, a: layer.mean_vjp(a),
-                         weighted)
+                         weighted, per_row)
     return GradientEstimate(grads, trace.values[cost], {}, logprob=trace.logprob)
 
 
-def half_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> GradientEstimate:
+def half_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False,
+                  per_row: bool = False) -> GradientEstimate:
     """Derivative-at-sample estimator rescaled by outcome probabilities.
 
     Each drawn layer's `half` rescales the adjoint at its logits by the
@@ -444,7 +521,7 @@ def half_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False) -> G
         return g
 
     return GradientEstimate(
-        _param_grads(graph, trace, {cost: np.ones(())}, vjp, weighted),
+        _param_grads(graph, trace, {cost: np.ones(())}, vjp, weighted, per_row),
         trace.values[cost],
         {},
         extra={"clamped_units": clamped},
@@ -477,35 +554,47 @@ def estimate(
     cost,
     inputs,
     params,
-    rng_seed: int | None,
+    rng_seed,
     baselines: BaselineState | None = None,
     forced=None,
     idb_input: np.ndarray | None = None,
     mf=None,
-    validate: bool = True,
+    validate: bool | str = True,
     weighted: bool = False,
+    per_row: bool = False,
 ) -> GradientEstimate:
-    """Run one estimator over one draw or a block of forced rows, producing
-    any forward passes it needs; `weighted` weights each row's estimate by its
-    probability (see the module docstring)."""
+    """Run one estimator over one draw, a block of draws or a block of forced
+    rows, producing any forward passes it needs.
+
+    `rng_seed` is one seed (one draw) or a sequence of B seeds: B draws as
+    the rows of one pass, row i drawing what a one-row call with
+    `rng_seed=seeds[i]` draws; with a kept `baselines` state, the block
+    leaves it as those B calls made in order would. `weighted` weights each
+    row's estimate by its probability, and `per_row` keeps each row's
+    parameter gradients apart, `[rows, *shape]` (see the module docstring).
+    `validate` goes to every pass it runs (see `forward`).
+    """
     name = config.name
     if name == "muprop":
         return muprop_estimate(
             graph, cost, inputs, params, rng_seed, baselines, config.flags,
             forced=forced, idb_input=idb_input, mf=mf, validate=validate, weighted=weighted,
+            per_row=per_row,
         )
     if name == "muprop_rollout":
         return muprop_rollout_estimate(
             graph, cost, inputs, params, rng_seed, baselines, config.flags,
             forced=forced, idb_input=idb_input, validate=validate, weighted=weighted,
+            per_row=per_row,
         )
     trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                     forced=forced, validate=validate)
     if name == "lr":
-        est = lr_estimate(graph, trace, cost, baselines, config.flags, idb_input, weighted)
+        est = lr_estimate(graph, trace, cost, baselines, config.flags, idb_input, weighted,
+                          per_row)
     elif name == "st":
-        est = st_estimate(graph, trace, cost, weighted)
+        est = st_estimate(graph, trace, cost, weighted, per_row)
     else:
-        est = half_estimate(graph, trace, cost, weighted)
+        est = half_estimate(graph, trace, cost, weighted, per_row)
     est.stochastic_passes = 1
     return est

@@ -11,8 +11,8 @@ input and parameter tensors. `forward` runs in one of two modes:
 Every value carries a leading row axis, `[rows, *node.shape]`, one row per
 draw or forced configuration. Inputs, parameters and the nodes computed from
 them alone hold one row, which broadcasts against the rest; a `forced` value
-with a leading axis of B rows makes a pass of B rows. An unforced draw takes
-one row.
+with a leading axis of B rows makes a pass of B rows, and so does a sequence
+of B seeds, one draw per row.
 
 Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
 forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
@@ -26,7 +26,7 @@ nodes behave as gradient barriers exactly when the trace marks them as drawn
 from the requested nodes (activity analysis), so a sweep whose reader looks
 at a few nodes skips the rest of the graph. An adjoint has its node's rows; one
 flowing into a parent with fewer rows is summed over the rows, so a
-parameter's adjoint is the sum of every row's.
+parameter's adjoint is the sum of every row's (`per_row` keeps them apart).
 
 Graphs are append-only during construction and treated as immutable afterwards,
 so a built graph can be shared read-only across threads; the only state a
@@ -265,7 +265,8 @@ class Graph:
 # has `forward(node, values)`, its value read off the list of node values,
 # and `vjp(node, values, adjoint, j)`, the adjoint of its j-th parent. Values
 # and adjoints are `[rows, *shape]`; parents with one row broadcast, and a vjp
-# may return more rows than its parent has (`backward` sums them). A
+# may return more rows than its parent has (`backward` sums them). An adjoint
+# may have more rows than its node's value, whose one row then broadcasts. A
 # sampling op (`Sampler`) has its layer class, which holds all of its family's
 # math. Adding an op means one entry here plus one builder method.
 
@@ -357,6 +358,19 @@ def _affine_vjp(node, values, a, j):
     return (np.outer(a, values[x]) if len(a) == 1 else a.T @ values[x])[None]
 
 
+def _affine_per_row_vjp(node, values, a, j):
+    """`_affine_vjp`, with each row's weight adjoint, its outer product
+    `a[:, :, None] * x[:, None, :]`, kept (einsum forms it about twice as
+    fast as that broadcast product; a zero product may be +0.0 here)."""
+    if j != 1:
+        return _affine_vjp(node, values, a, j)
+    return np.einsum("ri,rj->rij", a, values[node.parents[0]])
+
+
+# the vjps a `per_row` sweep uses instead of the table's
+_PER_ROW_VJPS = {"affine": _affine_per_row_vjp}
+
+
 def _groups(node, x):
     """A `[rows, width]` value as `[rows, width // k, k]`."""
     return x.reshape(len(x), -1, node.k)
@@ -368,13 +382,13 @@ def _softmax(node, values):
 
 
 def _logsumexp_vjp(node, values, a, j):
-    x = values[node.parents[0]]
-    return (softmax(_groups(node, x), axis=-1) * a[:, :, None]).reshape(x.shape)
+    g = softmax(_groups(node, values[node.parents[0]]), axis=-1) * a[:, :, None]
+    return g.reshape(len(g), -1)
 
 
 def _per_row(a, x):
-    """The per-row scalars `a` spread over `x`'s shape."""
-    return np.repeat(a, x[0].size).reshape(x.shape)
+    """The per-row scalars `a` spread over the shape of a row of `x`."""
+    return np.repeat(a, x[0].size).reshape((len(a),) + x.shape[1:])
 
 
 def _flat(x):
@@ -409,7 +423,7 @@ def _slice_shape(pshapes, attrs):
 
 
 def _slice_vjp(node, values, a, j):
-    g = np.zeros(values[node.parents[0]].shape)
+    g = np.zeros((len(a),) + values[node.parents[0]].shape[1:])
     start, stop = node.span
     g[:, start:stop] = a
     return g
@@ -492,9 +506,9 @@ def forward(
     inputs=None,
     params=None,
     mode: Mode = Mode.STOCHASTIC,
-    rng_seed: int | None = None,
+    rng_seed=None,
     forced: dict[int, np.ndarray] | None = None,
-    validate: bool = True,
+    validate: bool | str = True,
 ) -> Trace:
     """Evaluate every node; returns a Trace covering the whole graph.
 
@@ -502,31 +516,47 @@ def forward(
     its node's shape (one row) or as `[B, *node.shape]`: B rows, one forced
     configuration each, evaluated together in one pass of B rows. Forced nodes
     are treated exactly like drawn samples: their log-probability is recorded
-    per row in STOCHASTIC mode and they block gradients in both modes. A seed
-    is required only when at least one stochastic node actually needs to be
-    drawn, and a draw takes a one-row pass. Inputs and parameters are bound
-    in their nodes' shapes and hold one row. With `validate`, the first
-    non-finite entry raises `NonFiniteError` naming its node and row.
+    per row in STOCHASTIC mode and they block gradients in both modes.
+
+    `rng_seed` is needed only when some stochastic node is drawn. It is one
+    seed (one row) or a sequence of B seeds: a pass of B rows, where row i
+    draws exactly what a one-row pass with `rng_seed=seeds[i]` draws. A row's
+    draws come from its own stream, `rng.stream(seed)`, node after node in
+    topological order; forced values then have one row or B. Inputs and
+    parameters are bound in their nodes' shapes and hold one row. With
+    `validate`, the first non-finite entry raises `NonFiniteError` naming its
+    node and row. `validate="computed"` checks only the values the pass
+    computes, for a caller that has checked the same bound inputs and
+    parameters in an earlier pass.
     """
+    if isinstance(validate, str) and validate != "computed":
+        raise ValueError(f"validate must be True, False or 'computed', got {validate!r}")
+    check_bound = bool(validate) and not isinstance(validate, str)
     inputs = _resolve(graph, inputs)
     params = _resolve(graph, params)
     forced, rows = _forced_rows(graph, forced)
 
     if mode == Mode.MEAN_FIELD and rng_seed is not None:
         raise ValueError("mean-field evaluation takes no rng seed")
-    if mode == Mode.STOCHASTIC and (rng_seed is None or rows > 1):
-        unforced = [i for i in graph.stochastic_ids if i not in forced]
-        if unforced and rng_seed is None:
-            raise ValueError(f"rng_seed required to draw nodes {unforced}")
-        if unforced:
-            raise ValueError(f"a pass of {rows} forced rows cannot draw nodes {unforced}")
+    drawn = [graph.nodes[i] for i in graph.stochastic_ids if i not in forced]
+    u = None  # the pass's uniforms: one row per seed, split over `drawn` in order
+    if mode == Mode.STOCHASTIC and drawn:
+        if rng_seed is None:
+            raise ValueError(f"rng_seed required to draw nodes {[n.id for n in drawn]}")
+        seeds = [rng_seed] if np.ndim(rng_seed) == 0 else list(rng_seed)
+        if not seeds or rows not in (1, len(seeds)):
+            raise ValueError(f"a pass of {rows} forced rows cannot draw nodes "
+                             f"{[n.id for n in drawn]} from {len(seeds)} seeds")
+        rows = len(seeds)
+        u = _rng.uniforms(seeds, sum(_SAMPLERS[n.op].layer.uniforms(n.shape[0], n.k)
+                                     for n in drawn))
 
     n = len(graph.nodes)
     values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     layers: dict[int, BernoulliLayer | CategoricalLayer] = {}
     logprob = np.zeros(rows)
     barriers: set[int] = set()
-    gen = None  # one stream per pass; nodes draw from it in topological order
+    used = 0  # uniforms taken by the nodes drawn so far
 
     with np.errstate(all="ignore"):
         for node in graph.nodes:
@@ -542,9 +572,14 @@ def forward(
                         f"{k.name.lower()} {node.id}: bound shape {v.shape} != {node.shape}"
                     )
                 v = v[None]
+                check = check_bound
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)
+                check = validate
             elif k == Kind.STOCHASTIC:
+                # draws are 0/1, forced values are checked, and the mean of
+                # finite logits is finite: only bound values and ops overflow
+                check = False
                 layer = layers[node.id] = _SAMPLERS[node.op].layer(values[node.parents[0]], node.k)
                 if node.id in forced:
                     try:
@@ -555,17 +590,18 @@ def forward(
                         logprob += layer.log_prob(v, checked=True)
                     barriers.add(node.id)
                 elif mode == Mode.STOCHASTIC:
-                    if gen is None:
-                        gen = _rng.stream(rng_seed)
-                    v = layer.sample(gen)
+                    take = layer.uniforms(node.shape[0], node.k)
+                    v = layer.sample(u[:, used : used + take])
+                    used += take
                     logprob += layer.log_prob(v, checked=True)
                     barriers.add(node.id)
                 else:
                     v = layer.mean()
-            else:  # COST
+            else:  # COST: its parent's value, checked there
                 v = values[node.parents[0]]
+                check = False
 
-            if validate and not np.all(np.isfinite(v)):
+            if check and not np.isfinite(v).all():
                 bad = ~np.isfinite(v).reshape(len(v), -1).all(axis=1)
                 raise NonFiniteError(node.id, int(np.argmax(bad)))
             values[node.id] = v
@@ -576,10 +612,11 @@ def forward(
 # -- reverse mode --------------------------------------------------------------
 
 
-def _fit_rows(g: np.ndarray, rows: int) -> np.ndarray:
+def _fit_rows(g: np.ndarray, rows: int, per_row: bool = False) -> np.ndarray:
     """An adjoint with its node's row count: summed over the rows when the
-    node has one row, and spread over them when only the adjoint has one."""
-    if len(g) == rows:
+    node has one row (kept apart with `per_row`), and spread over them when
+    only the adjoint has one."""
+    if len(g) == rows or (per_row and len(g) > rows):
         return g
     if rows == 1:
         return g.sum(axis=0, keepdims=True)
@@ -592,12 +629,16 @@ def backward(
     seeds: dict[int, np.ndarray],
     stochastic_vjp=None,
     need=None,
+    per_row: bool = False,
 ) -> list:
     """Reverse sweep from injected adjoints; returns the adjoint list.
 
     A seed is in its node's shape (the same seed for every row) or has a
     leading row axis. Each adjoint has its node's rows, `[1 or rows, *shape]`;
-    a parameter's or input's is summed over the rows.
+    a parameter's or input's is summed over the rows. With `per_row` no
+    adjoint is summed over rows: each keeps the rows it has, so a parameter's
+    adjoint is `[rows, *shape]`, one gradient per row (an affine weight's as
+    the rows' outer products `a[:, :, None] * x[:, None, :]`).
 
     A stochastic node that is not a barrier passes its adjoint on through its
     layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,
@@ -624,7 +665,7 @@ def backward(
         v = as_tensor(sval)
         if v.shape == graph.nodes[sid].shape:
             v = v[None]
-        v = _fit_rows(v, len(values[sid]))
+        v = _fit_rows(v, len(values[sid]), per_row)
         adj[sid] = v if adj[sid] is None else adj[sid] + v
 
     def sampler_vjp(node, values, a, j):
@@ -642,6 +683,8 @@ def backward(
             kind = node.kind
             if kind == Kind.DETERMINISTIC:
                 vjp = _OPS[node.op].vjp
+                if per_row:
+                    vjp = _PER_ROW_VJPS.get(node.op, vjp)
             elif kind == Kind.COST:
                 vjp = _pass_vjp
             elif kind != Kind.STOCHASTIC:
@@ -654,7 +697,7 @@ def backward(
                 if live[q]:
                     g = vjp(node, values, a, j)
                     if len(g) != len(values[q]):
-                        g = _fit_rows(g, len(values[q]))
+                        g = _fit_rows(g, len(values[q]), per_row)
                     adj[q] = g if adj[q] is None else adj[q] + g
     return adj
 

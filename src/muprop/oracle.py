@@ -9,12 +9,13 @@ checked without appealing to sampling noise.
 The configurations are the rows of forced passes: `config_blocks` splits the
 joint support into blocks of consecutive configurations, sized so one pass
 holds at most `BLOCK_ELEMENTS` value entries, and each oracle runs one forced
-pass (and one sweep) per block. Every row of every block is checked for
-non-finite values, and an error names the node and the configuration.
+pass (and one sweep) per block. `empirical_moments` runs its draws the same
+way, as the rows of one stochastic pass per block. Every row of every block
+is checked for non-finite values, and an error names the node and the
+configuration or draw.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -27,8 +28,9 @@ from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
 # value entries one enumeration pass may hold: rows per block times the
-# entries one row of the graph's computed nodes takes. A pass's adjoints,
-# means and seeds take a few times as much again: enumerating a 12-unit
+# entries one row of the graph's computed nodes takes (plus its parameters'
+# in `empirical_moments`, whose rows keep their own gradients). A pass's
+# adjoints, means and seeds take a few times as much again: enumerating a 12-unit
 # chain (4,096 configurations) for every estimator peaks 0.8 MiB above a
 # loop over configurations at 2**15 (256 KiB of values), 1.8 MiB at 2**16
 # and 3.7 MiB at 2**17.
@@ -57,9 +59,7 @@ def config_blocks(graph: Graph):
     if count > MAX_CONFIGS:
         raise ValueError(f"joint support has {count} configurations (limit {MAX_CONFIGS})")
     supports = [cls.support(width, k) for cls, width, k in _families(graph)]
-    per_row = sum(math.prod(n.shape) for n in graph.nodes
-                  if n.kind not in (Kind.INPUT, Kind.PARAMETER))
-    rows = max(1, BLOCK_ELEMENTS // max(per_row, 1))
+    rows = _block_rows(graph)
     for start in range(0, count, rows):
         index = np.arange(start, min(start + rows, count))
         forced = {}
@@ -67,6 +67,14 @@ def config_blocks(graph: Graph):
             index, digit = np.divmod(index, len(support))
             forced[sid] = support[digit]
         yield start, forced
+
+
+def _block_rows(graph: Graph, per_row_extra: int = 0) -> int:
+    """Rows per block: `BLOCK_ELEMENTS` over one row's value entries plus
+    `per_row_extra`, at least one."""
+    per_row = per_row_extra + sum(math.prod(n.shape) for n in graph.nodes
+                                  if n.kind not in (Kind.INPUT, Kind.PARAMETER))
+    return max(1, BLOCK_ELEMENTS // max(per_row, 1))
 
 
 def enumerate_configs(graph: Graph):
@@ -159,9 +167,10 @@ def estimator_expectation(
     Each block of configurations is one `estimate` call over its forced rows,
     weighted by the rows' probabilities from the estimator's own stochastic
     pass, so one sweep per block gives the block's sum of p * estimate.
-    Baseline statistics are snapshotted: each block works on one copy of
-    `baselines`, and every row is adjusted against the given statistics, so
-    the expectation is of a single draw from the given state. Variance
+    Baseline statistics are read, never written: every row is adjusted
+    against the given statistics (and the `idb` net's prediction from the
+    given net), so the expectation is of a single draw from the given state,
+    and `baselines` is left as it was. Variance
     normalization makes the estimate nonlinear in the signal and has no
     single-draw expectation to report, so "vn" is rejected. `muprop`'s
     mean-field pass does not depend on the configuration, so it runs once
@@ -169,24 +178,28 @@ def estimator_expectation(
     """
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
-    template = baselines if baselines is not None else BaselineState()
     idb_input = _default_idb_input(graph, inputs)
-    mf = None
-    if config.name == "muprop":
-        mf = _located(lambda row: "the mean-field pass", mean_field_pass, graph, cost, inputs, params)
+    mf = _shared_mean_field(config, graph, cost, inputs, params)
     total: dict[int, np.ndarray] = {}
     total_p = 0.0
     for start, forced in config_blocks(graph):
         est = _on_block(
             start, estimate, config, graph, cost, inputs, params, rng_seed=None,
-            baselines=copy.deepcopy(template), forced=forced, idb_input=idb_input,
-            mf=mf, weighted=True,
+            baselines=baselines, forced=forced, idb_input=idb_input, mf=mf, weighted=True,
         )
         total_p += float(np.sum(np.exp(est.logprob)))
         for w, g in est.grads.items():
             total[w] = total[w] + g if w in total else g
     _check_total(total_p)
     return {w: as_tensor(g) for w, g in total.items()}
+
+
+def _shared_mean_field(config: EstimatorConfig, graph: Graph, cost, inputs, params):
+    """`muprop`'s mean-field pass, which no row depends on, so one call's
+    blocks share it; None for the other estimators."""
+    if config.name != "muprop":
+        return None
+    return _located(lambda row: "the mean-field pass", mean_field_pass, graph, cost, inputs, params)
 
 
 def _default_idb_input(graph: Graph, inputs) -> np.ndarray | None:
@@ -207,41 +220,91 @@ def empirical_moments(
     seed: int = 0,
     baselines: BaselineState | None = None,
 ):
-    """Streaming mean and (population) variance of an estimator over draws.
+    """Mean and (population) variance of an estimator over `n_samples` draws.
 
-    Baseline state, if given, evolves across draws exactly as it would during
-    training. Returns (mean, variance, mean_cost) with per-parameter arrays.
+    Draw i is the one-row draw at `rng.fold(seed, i)`. The draws run as the
+    rows of one `estimate` call per block of consecutive draws (its seeds,
+    one per row), sized by `BLOCK_ELEMENTS` counting each row's value
+    entries plus its parameter entries, since every row keeps its own
+    gradients (`per_row`). Baseline state, if given, evolves across the draws
+    exactly as it would over one-draw calls: row i is adjusted against the
+    statistics draws 0..i-1 left behind, and the `idb` net predicts and
+    trains once per draw; without one, every draw sees fresh statistics.
+    Each block's mean and M2 fold into the running ones by Chan et al.'s
+    pairwise update. Every block is checked for non-finite values, and the
+    error names the node and the draw; the bound inputs and parameters, the
+    same in every block, are checked in the first. `muprop`'s mean-field
+    pass does not depend on the draw, so it runs once. Returns (mean,
+    variance, mean_cost) with per-parameter arrays.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    mean: dict[int, np.ndarray] = {}
-    m2: dict[int, np.ndarray] = {}
     idb_input = _default_idb_input(graph, inputs)
+    mf = _shared_mean_field(config, graph, cost, inputs, params)
+    rows = _block_rows(graph, sum(math.prod(graph.nodes[p].shape) for p in graph.param_ids))
+    moments = _Moments()
     cost_acc = 0.0
-    mf = mean_field_pass(graph, cost, inputs, params) if config.name == "muprop" else None
-    for i in range(n_samples):
-        est = estimate(
-            config,
-            graph,
-            cost,
-            inputs,
-            params,
-            rng_seed=_rng.fold(seed, i),
-            baselines=baselines,
-            idb_input=idb_input,
-            mf=mf,
-            validate=i == 0,
+    for start in range(0, n_samples, rows):
+        seeds = [_rng.fold(seed, i) for i in range(start, min(start + rows, n_samples))]
+        est = _located(
+            lambda row: f"draw {start + row}", estimate, config, graph, cost, inputs, params,
+            rng_seed=seeds, baselines=baselines, idb_input=idb_input, mf=mf, per_row=True,
+            validate=True if start == 0 else "computed",
         )
-        cost_acc += est.cost.item()
-        for w, g in est.grads.items():
-            if w not in mean:
-                mean[w] = np.zeros_like(g)
-                m2[w] = np.zeros_like(g)
-            delta = g - mean[w]
-            mean[w] += delta / (i + 1)
-            m2[w] += delta * (g - mean[w])
-    var = {w: m2[w] / n_samples for w in m2}
-    return mean, var, cost_acc / n_samples
+        for c in est.cost.tolist():
+            cost_acc += c
+        moments.add(est.grads, len(seeds))
+    var = {w: m2 / n_samples for w, m2 in moments.m2.items()}
+    return moments.mean, var, cost_acc / n_samples
+
+
+# entries of a parameter that `_Moments` folds at a time: a slice of each
+# operand (mean, M2, the block's mean and two scratch slices) stays in cache,
+# which halves the cost of a wide task's one-row blocks
+MERGE_CHUNK = 1 << 14
+
+
+class _Moments:
+    """Running mean and M2 (sum of squared deviations) of per-row gradients,
+    folded in block by block by Chan et al.'s pairwise update (Welford's
+    step for a block of one row)."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean: dict[int, np.ndarray] = {}
+        self.m2: dict[int, np.ndarray] = {}
+        self._delta = np.empty(MERGE_CHUNK)
+        self._step = np.empty(MERGE_CHUNK)
+
+    def add(self, grads: dict[int, np.ndarray], rows: int) -> None:
+        """Fold in one block of `rows` rows: `[rows, *shape]` per parameter."""
+        for w, g in grads.items():
+            block_mean, block_m2 = g[0], None
+            if rows > 1:
+                block_mean = g.mean(axis=0)
+                dev = g - block_mean
+                dev *= dev
+                block_m2 = dev.sum(axis=0)
+            if not self.count:
+                self.mean[w] = np.array(block_mean)
+                self.m2[w] = np.zeros_like(block_mean) if block_m2 is None else np.array(block_m2)
+            else:
+                self._merge(w, np.ravel(block_mean), block_m2, rows)
+        self.count += rows
+
+    def _merge(self, w: int, block_mean: np.ndarray, block_m2, rows: int) -> None:
+        total = self.count + rows
+        mean, m2 = self.mean[w].reshape(-1), self.m2[w].reshape(-1)
+        for lo in range(0, mean.size, MERGE_CHUNK):
+            hi = min(lo + MERGE_CHUNK, mean.size)
+            delta, step = self._delta[: hi - lo], self._step[: hi - lo]
+            np.subtract(block_mean[lo:hi], mean[lo:hi], out=delta)
+            mean[lo:hi] += np.multiply(delta, rows / total, out=step)
+            delta *= delta
+            delta *= self.count * rows / total
+            if block_m2 is not None:
+                delta += block_m2.reshape(-1)[lo:hi]
+            m2[lo:hi] += delta
 
 
 def relative_error(a, b, floor: float = 1e-8) -> float:

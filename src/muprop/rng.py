@@ -3,9 +3,13 @@
 Every source of randomness in the package flows through `stream`, keyed by a
 64-bit seed plus integer labels (node id, step, sample index, ...). Streams are
 mutually independent for distinct keys and reproducible across runs and
-platforms because Philox is a pure counter-based generator.
+platforms because Philox is a pure counter-based generator. `uniforms` draws
+the first values of many seeds' streams, one row each, without building a
+generator per seed.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -30,3 +34,32 @@ def fold(seed: int, *labels: int) -> int:
 def stream(seed: int, *labels: int) -> np.random.Generator:
     """Independent generator for (seed, labels)."""
     return np.random.Generator(np.random.Philox(key=fold(seed, *labels)))
+
+
+# one re-keyable Philox per thread, for `uniforms`: building a generator costs
+# about 20 us, and `uniforms` sets the whole state before each draw, so no
+# draw depends on what the generator drew before
+_local = threading.local()
+
+
+def uniforms(seeds, count: int) -> np.ndarray:
+    """`[len(seeds), count]` uniforms on [0, 1): row i is bit for bit
+    `stream(seeds[i]).random(count)`.
+
+    A Philox stream is its key plus a counter, so setting a generator's state
+    to (key, counter 0) starts the stream afresh; this re-keys one generator
+    per thread instead of building one per seed (a third of the cost).
+    """
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    bitgen = gen.bit_generator
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(seeds), count))
+    for row, seed in zip(out, seeds):
+        state["state"]["key"] = np.array([int(seed) & _MASK, 0], dtype=np.uint64)
+        bitgen.state = state
+        gen.random(count, out=row)
+    return out

@@ -10,7 +10,7 @@ import pytest
 from helpers import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("[0-9][0-9]_*.py"))
-QUICK = ("01", "02", "04")  # about a second together; 03, 05 and 06 train or sample for longer
+QUICK = ("01", "02", "03", "04")  # a few seconds together; 05 and 06 train for longer
 
 
 def test_all_six_demos_are_found():

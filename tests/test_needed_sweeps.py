@@ -41,8 +41,8 @@ def full_sweeps(monkeypatch):
     """Call `install()` to make every in-package sweep ignore `need`."""
     original = graph_mod.backward
 
-    def full(graph, trace, seeds, stochastic_vjp=None, need=None):
-        return original(graph, trace, seeds, stochastic_vjp)
+    def full(graph, trace, seeds, stochastic_vjp=None, need=None, per_row=False):
+        return original(graph, trace, seeds, stochastic_vjp, per_row=per_row)
 
     def install():
         for mod in (graph_mod, estimators_mod, oracle_mod):

@@ -29,8 +29,14 @@ The groups:
 * forced:   every forced configuration of `sample_family(0..9)`, each
             estimator (score estimators with flags none, `c` and `c,idb`):
             grads, cost, log-probability and diagnostics;
-* oracle:   `exact_expected_cost_and_grad`, `estimator_expectation`, 20-draw
-            `empirical_moments` and `finite_difference_check`;
+* oracle:   `exact_expected_cost_and_grad`, `estimator_expectation` and
+            `finite_difference_check`;
+* moments:  2,000-draw `empirical_moments` per estimator (flags `c` and
+            `c,vn,idb` where allowed) on `sample_family(0..9)`, with the
+            final baseline state. 2,000 draws span two or more blocks on
+            every one of these graphs, and a block's moments are summed in
+            a different order from a loop over draws, so this group is
+            compared by `--compare` (to float reassociation), not by digest;
 * draws:    3 seeded draws per estimator (flags `c,vn,idb` where allowed)
             at 8-4-4-8, 2x3-3x4-8, 392-200-200-392 and 200x10-784;
 * nll:      `evaluate_nll` for structured prediction and a variational SBN;
@@ -155,12 +161,25 @@ def _oracle(mp, h) -> None:
         for name in ESTIMATORS:
             flags = ("c", "idb") if name in SCORE else ()
             _feed(h, mp.estimator_expectation(mp.EstimatorConfig(name, flags=flags), *args))
-            mean, var, cost = mp.empirical_moments(
-                mp.EstimatorConfig(name, flags=("c",) if name in SCORE else ()), *args,
-                n_samples=20, seed=seed, baselines=mp.BaselineState())
-            _feed(h, [mean, var, cost])
         if seed < 3:
             _feed(h, mp.finite_difference_check(*args))
+
+
+def _moments(mp, h) -> None:
+    from muprop.oracle import sample_family
+
+    for seed in range(10):
+        fam = sample_family(seed)
+        args = (fam.graph, fam.cost, fam.inputs, fam.params)
+        for name in ESTIMATORS:
+            for flags in ((("c",), ("c", "vn", "idb")) if name in SCORE else ((),)):
+                state = mp.BaselineState(seed=seed)
+                mean, var, cost = mp.empirical_moments(
+                    mp.EstimatorConfig(name, flags=flags), *args, n_samples=2000, seed=seed,
+                    baselines=state)
+                idb = [] if state.idb is None else [state.idb.w1, state.idb.b1, state.idb.w2,
+                                                    state.idb.b2]
+                _feed(h, [mean, var, cost, state.b, state.v, idb])
 
 
 def _draws(mp, h) -> None:
@@ -226,7 +245,7 @@ def _training(mp, h) -> None:
                 _feed(h, tensors)
 
 
-GROUPS = (("forced", _forced), ("oracle", _oracle), ("draws", _draws),
+GROUPS = (("forced", _forced), ("oracle", _oracle), ("moments", _moments), ("draws", _draws),
           ("nll", _nll), ("training", _training))
 
 
