@@ -6,7 +6,7 @@ log-density with respect to the logits, value - mean for both families),
 logit adjoint), and the enumeration `support` / `support_size`, which depend
 only on the node's width and group width `k`. Every array a layer takes or
 returns is `[..., width]`: the node's 1-D shape after any leading row axes.
-The engine passes one row axis, one row per draw or forced configuration.
+The engine passes one row axis: one row per example, draw or configuration.
 Leading axes broadcast, so logits that do not depend on the rows (a first
 layer's, say) are held as one row against values with many. `log_prob`
 returns one value per row. `sample` turns each row of uniforms (`uniforms`
@@ -31,13 +31,6 @@ class _Layer:
         self.k = k
         self._mean: np.ndarray | None = None
 
-    def _uniforms(self, u) -> np.ndarray:
-        """`u` as `[rows, uniforms]`; a Generator draws one row of them."""
-        if isinstance(u, np.random.Generator):
-            count = self.uniforms(self.logits.shape[-1], self.k)
-            return u.random(self.logits.shape[:-1] + (count,))
-        return u
-
     def _check_shape(self, value: np.ndarray) -> np.ndarray:
         value = as_tensor(value)
         if value.ndim != self.logits.ndim or value.shape[-1:] != self.logits.shape[-1:]:
@@ -53,9 +46,9 @@ class BernoulliLayer(_Layer):
             self._mean = sigmoid(self.logits)
         return self._mean
 
-    def sample(self, u) -> np.ndarray:
-        """One draw per row of `u`, uniforms `[rows, width]` (or a Generator)."""
-        return (self._uniforms(u) < self.mean()).astype(np.float64)
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """One draw per row of `u`, uniforms `[rows, width]`."""
+        return (u < self.mean()).astype(np.float64)
 
     def validate(self, value: np.ndarray) -> np.ndarray:
         value = self._check_shape(value)
@@ -116,10 +109,9 @@ class CategoricalLayer(_Layer):
             self._mean = softmax(self._units(self.logits), axis=-1).reshape(self.logits.shape)
         return self._mean
 
-    def sample(self, u) -> np.ndarray:
-        """One draw per row of `u`, uniforms `[rows, units]` (or a Generator)."""
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """One draw per row of `u`, uniforms `[rows, units]`."""
         cdf = np.cumsum(self._units(self.mean()), axis=-1)
-        u = self._uniforms(u)
         idx = np.minimum((cdf <= u[..., None]).sum(axis=-1), self.k - 1)
         return np.eye(self.k)[idx].reshape(u.shape[:-1] + (-1,))
 

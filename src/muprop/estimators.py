@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, Kind, Mode, Trace, backward, forward
+from .graph import Graph, Kind, Mode, NonFiniteError, Trace, backward, forward
 from .numerics import as_tensor
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
@@ -374,17 +374,24 @@ def lr_estimate(
                            per_row)
 
 
-def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool | str = True):
+def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool | str = True,
+                    need=None):
     """Deterministic relaxation pass plus the adjoint sweep its readers need.
 
-    The adjoint list holds the cost's derivative at every stochastic node
-    (the Taylor anchor slopes) and at the nodes between them and the cost.
-    Every other entry, parameters and inputs included, is None, apart from
-    the cost's own seed.
+    The adjoint list holds the cost's derivative at the stochastic nodes in
+    `need` (every one by default: the Taylor anchor slopes) and at the nodes
+    between them and the cost. Every other entry, parameters and inputs
+    included, is None, apart from the cost's own seed. The pass pins no
+    sample, so its rows belong to no draw: a non-finite value raises
+    `NonFiniteError` with `row` None.
     """
     cost = graph.node_id(cost)
-    trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate)
-    adj = backward(graph, trace, {cost: np.ones(())}, need=graph.stochastic_ids)
+    try:
+        trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate)
+    except NonFiniteError as err:
+        raise NonFiniteError(err.node, None) from None
+    adj = backward(graph, trace, {cost: np.ones(())},
+                   need=graph.stochastic_ids if need is None else need)
     return trace, adj
 
 
@@ -472,9 +479,12 @@ def muprop_rollout_estimate(
     def groups():
         pinned: dict[int, np.ndarray] = {}
         for group in layer_groups:
-            branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, forced=dict(pinned),
-                             validate=validate)
-            adj = backward(graph, branch, {cost: np.ones(())}, need=group)
+            if pinned:
+                branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD,
+                                 forced=dict(pinned), validate=validate)
+                adj = backward(graph, branch, {cost: np.ones(())}, need=group)
+            else:  # the first layer's anchor pins nothing: the mean-field pass
+                branch, adj = mean_field_pass(graph, cost, inputs, params, validate, need=group)
             yield group, (branch.values, adj, branch.values[cost])
             for sid in group:
                 pinned[sid] = st_trace.values[sid]

@@ -9,10 +9,10 @@ input and parameter tensors. `forward` runs in one of two modes:
   differentiable deterministic relaxation of the same network.
 
 Every value carries a leading row axis, `[rows, *node.shape]`, one row per
-draw or forced configuration. Inputs, parameters and the nodes computed from
-them alone hold one row, which broadcasts against the rest; a `forced` value
-with a leading axis of B rows makes a pass of B rows, and so does a sequence
-of B seeds, one draw per row.
+example, draw or forced configuration. Parameters, one-row inputs and the
+nodes computed from them alone hold one row, which broadcasts against the
+rest; an input or `forced` value with a leading axis of B rows makes a pass
+of B rows, and so does a sequence of B seeds, one draw per row.
 
 Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
 forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
@@ -74,10 +74,12 @@ class Node:
 
 
 class NonFiniteError(ValueError):
-    """A forward pass produced a non-finite entry at `node`, first in row `row`."""
+    """A forward pass produced a non-finite entry at `node`, first in row
+    `row`; `row` is None for the mean-field pass, whose rows are no draw's."""
 
-    def __init__(self, node: int, row: int):
-        super().__init__(f"non-finite value produced at node {node} in row {row}")
+    def __init__(self, node: int, row: int | None):
+        where = "the mean-field pass" if row is None else f"row {row}"
+        super().__init__(f"non-finite value produced at node {node} in {where}")
         self.node = node
         self.row = row
 
@@ -477,28 +479,34 @@ def _resolve(graph: Graph, bindings) -> dict[int, np.ndarray]:
     return out
 
 
-def _forced_rows(graph: Graph, forced) -> tuple[dict[int, np.ndarray], int]:
-    """Forced values as `[rows, *node.shape]` (a node-shaped value is one row),
-    and the pass's row count."""
+def _rowed(graph: Graph, bindings, what: str) -> dict[int, np.ndarray]:
+    """Bound inputs or forced values as `[rows, *node.shape]`; a value in
+    its node's shape is one row."""
     out = {}
-    rows = 1
-    for key, val in (forced or {}).items():
-        fid = graph.node_id(key)
-        node = graph.nodes[fid]
-        if node.kind != Kind.STOCHASTIC:
-            raise ValueError(f"forced value for non-stochastic node {fid}")
-        v = as_tensor(val)
-        if v.shape == node.shape:
+    for nid, v in _resolve(graph, bindings).items():
+        shape = graph.nodes[nid].shape
+        if v.shape == shape:
             v = v[None]
-        elif v.shape[1:] != node.shape:
-            raise ValueError(f"forced value for node {fid}: shape {v.shape} != "
-                             f"{node.shape} or (rows,) + {node.shape}")
-        out[fid] = v
-        rows = max(rows, len(v))
-    for fid, v in out.items():
-        if len(v) not in (1, rows):
-            raise ValueError(f"forced value for node {fid}: {len(v)} rows, another has {rows}")
-    return out, rows
+        elif v.shape[1:] != shape:
+            raise ValueError(f"{what} {nid}: shape {v.shape} != {shape} or (rows,) + {shape}")
+        out[nid] = v
+    return out
+
+
+def _pass_rows(*bound) -> tuple[int, str | None]:
+    """The row count that the `(what, {node id: rows value})` groups share,
+    one row broadcasting, and the name of a value that has it (None for one
+    row)."""
+    rows, source = 1, None
+    for what, values in bound:
+        for nid, v in values.items():
+            if len(v) == 1:
+                continue
+            if source is None:
+                rows, source = len(v), f"{what} {nid}"
+            elif len(v) != rows:
+                raise ValueError(f"{what} {nid} has {len(v)} rows, but {source} has {rows}")
+    return rows, source
 
 
 def forward(
@@ -512,18 +520,20 @@ def forward(
 ) -> Trace:
     """Evaluate every node; returns a Trace covering the whole graph.
 
-    `forced` prescribes outcomes for stochastic nodes (by id), each either in
-    its node's shape (one row) or as `[B, *node.shape]`: B rows, one forced
-    configuration each, evaluated together in one pass of B rows. Forced nodes
-    are treated exactly like drawn samples: their log-probability is recorded
-    per row in STOCHASTIC mode and they block gradients in both modes.
+    A pass has one row or B. Each bound input, and each `forced` value (an
+    outcome prescribed for a stochastic node, by id), is in its node's shape
+    (one row) or `[B, *node.shape]`: B examples or forced configurations.
+    Parameters are in their nodes' shapes. Forced nodes are treated exactly
+    like drawn samples: their log-probability is recorded per row in
+    STOCHASTIC mode and they block gradients in both modes.
 
-    `rng_seed` is needed only when some stochastic node is drawn. It is one
-    seed (one row) or a sequence of B seeds: a pass of B rows, where row i
-    draws exactly what a one-row pass with `rng_seed=seeds[i]` draws. A row's
-    draws come from its own stream, `rng.stream(seed)`, node after node in
-    topological order; forced values then have one row or B. Inputs and
-    parameters are bound in their nodes' shapes and hold one row. With
+    `rng_seed` is needed only when some stochastic node is drawn: one seed
+    (one row) or a sequence of B seeds, where row i draws exactly what a
+    one-row pass at `seeds[i]` (and row i of each rowed input and forced
+    value) draws, from its own stream `rng.stream(seed)`, node after node in
+    topological order. Rowed inputs, forced values and seeds share their B,
+    in mean-field mode too: a one-row input or forced value broadcasts, and
+    any other disagreement raises a ValueError naming the node. With
     `validate`, the first non-finite entry raises `NonFiniteError` naming its
     node and row. `validate="computed"` checks only the values the pass
     computes, for a caller that has checked the same bound inputs and
@@ -532,9 +542,13 @@ def forward(
     if isinstance(validate, str) and validate != "computed":
         raise ValueError(f"validate must be True, False or 'computed', got {validate!r}")
     check_bound = bool(validate) and not isinstance(validate, str)
-    inputs = _resolve(graph, inputs)
+    inputs = _rowed(graph, {**graph.constants, **(inputs or {})}, "input")
     params = _resolve(graph, params)
-    forced, rows = _forced_rows(graph, forced)
+    forced = _rowed(graph, forced, "forced value for node")
+    for fid in forced:
+        if graph.nodes[fid].kind != Kind.STOCHASTIC:
+            raise ValueError(f"forced value for non-stochastic node {fid}")
+    rows, source = _pass_rows(("input", inputs), ("forced value for node", forced))
 
     if mode == Mode.MEAN_FIELD and rng_seed is not None:
         raise ValueError("mean-field evaluation takes no rng seed")
@@ -545,8 +559,8 @@ def forward(
             raise ValueError(f"rng_seed required to draw nodes {[n.id for n in drawn]}")
         seeds = [rng_seed] if np.ndim(rng_seed) == 0 else list(rng_seed)
         if not seeds or rows not in (1, len(seeds)):
-            raise ValueError(f"a pass of {rows} forced rows cannot draw nodes "
-                             f"{[n.id for n in drawn]} from {len(seeds)} seeds")
+            raise ValueError(f"cannot draw nodes {[n.id for n in drawn]} from {len(seeds)} "
+                             "seeds" + (f": {source} has {rows} rows" if source else ""))
         rows = len(seeds)
         u = _rng.uniforms(seeds, sum(_SAMPLERS[n.op].layer.uniforms(n.shape[0], n.k)
                                      for n in drawn))
@@ -562,16 +576,14 @@ def forward(
         for node in graph.nodes:
             k = node.kind
             if k == Kind.INPUT or k == Kind.PARAMETER:
-                bound = inputs if k == Kind.INPUT else params
-                v = bound[node.id] if node.id in bound else graph.constants.get(node.id)
-                label = node.name or node.id
+                v = (inputs if k == Kind.INPUT else params).get(node.id)
                 if v is None:
-                    raise ValueError(f"unbound {k.name.lower()} {label!r}")
-                if v.shape != node.shape:
-                    raise ValueError(
-                        f"{k.name.lower()} {node.id}: bound shape {v.shape} != {node.shape}"
-                    )
-                v = v[None]
+                    raise ValueError(f"unbound {k.name.lower()} {node.name or node.id!r}")
+                if k == Kind.PARAMETER:
+                    if v.shape != node.shape:
+                        raise ValueError(
+                            f"parameter {node.id}: bound shape {v.shape} != {node.shape}")
+                    v = v[None]
                 check = check_bound
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle as _oracle
 from . import rng as _rng
 from .graph import Graph, Mode, forward
 from .numerics import log_mean_exp
@@ -220,6 +221,14 @@ def evaluate_nll(
     Structured prediction: importance-free multi-sample estimate
     -log((1/S) sum_s p(y|h_s)) with S = `n_samples` hidden draws. Variational
     models: the Monte Carlo average of the negative bound.
+
+    An example takes ceil(S / m) rounds of the pass, where m is the number
+    of values one pass yields (the structured predictor's m stacks, else 1),
+    and keeps its first S values. Round r of example i is one row, drawn
+    from seed `rng.fold(seed, i, r)`; every example x round runs as the rows
+    of one stochastic pass per block of consecutive rows, sized by
+    `oracle.BLOCK_ELEMENTS`. A row's values are those of a one-row pass at
+    its example and seed, to the order of BLAS's sums in a many-row product.
     """
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
     if n_samples < 1:
@@ -230,23 +239,24 @@ def evaluate_nll(
         reads = graph.meta["logp_nodes"]  # the m log p(y | h_s) of the pass
 
         def reduce(vals):
-            return -log_mean_exp(np.array(vals))
+            return -log_mean_exp(vals)
     else:
         X, Y = (data[0] if isinstance(data, tuple) else data), None
         reads = (graph.meta["cost"],)
 
         def reduce(vals):
-            return sum(vals) / n_samples
+            return sum(vals.tolist()) / n_samples
+    bound = {"x": np.asarray(X)} if Y is None else {"x": np.asarray(X), "y": np.asarray(Y)}
     if len(X) == 0:
         raise ValueError("empty evaluation set")
     rounds = -(-n_samples // len(reads))
-    total = 0.0
-    for i in range(len(X)):
-        inputs = {"x": X[i]} if Y is None else {"x": X[i], "y": Y[i]}
-        vals = []
-        for r in range(rounds):
-            tr = forward(graph, inputs, params, mode=Mode.STOCHASTIC,
-                         rng_seed=_rng.fold(seed, i, r), validate=False)
-            vals.extend(tr.values[n].item() for n in reads)
-        total += reduce(vals[:n_samples])
-    return total / len(X)
+    count = len(X) * rounds
+    vals = np.empty((count, len(reads)))  # row i * rounds + r: example i, round r
+    block = _oracle._block_rows(graph)
+    for lo in range(0, count, block):
+        example, r = np.divmod(np.arange(lo, min(lo + block, count)), rounds)
+        tr = forward(graph, {k: v[example] for k, v in bound.items()}, params,
+                     mode=Mode.STOCHASTIC, rng_seed=_rng.fold(seed, example, r), validate=False)
+        vals[lo : lo + len(r)] = np.column_stack([tr.values[n] for n in reads])
+    vals = vals.reshape(len(X), rounds * len(reads))[:, :n_samples]
+    return sum(reduce(v) for v in vals) / len(X)

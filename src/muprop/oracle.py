@@ -27,9 +27,10 @@ from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forwa
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
-# value entries one enumeration pass may hold: rows per block times the
-# entries one row of the graph's computed nodes takes (plus its parameters'
-# in `empirical_moments`, whose rows keep their own gradients). A pass's
+# value entries one enumeration (or `models.evaluate_nll`) pass may hold:
+# rows per block times the entries one row of the graph's computed nodes
+# takes (plus its parameters' in `empirical_moments`, whose rows keep their
+# own gradients). A pass's
 # adjoints, means and seeds take a few times as much again: enumerating a 12-unit
 # chain (4,096 configurations) for every estimator peaks 0.8 MiB above a
 # loop over configurations at 2**15 (256 KiB of values), 1.8 MiB at 2**16
@@ -97,12 +98,13 @@ def _families(graph: Graph) -> list[tuple[type, int, int | None]]:
 
 
 def _located(where, fn, *args, **kwargs):
-    """`fn(*args, **kwargs)`, reporting a non-finite value at `where(row)`."""
+    """`fn(*args, **kwargs)`, reporting a non-finite value at `where(row)`,
+    or in the mean-field pass, which belongs to no row."""
     try:
         return fn(*args, **kwargs)
     except NonFiniteError as err:
-        raise ValueError(f"non-finite value produced at node {err.node} "
-                         f"in {where(err.row)}") from None
+        place = "the mean-field pass" if err.row is None else where(err.row)
+        raise ValueError(f"non-finite value produced at node {err.node} in {place}") from None
 
 
 def _on_block(start: int, fn, *args, **kwargs):
@@ -199,7 +201,7 @@ def _shared_mean_field(config: EstimatorConfig, graph: Graph, cost, inputs, para
     blocks share it; None for the other estimators."""
     if config.name != "muprop":
         return None
-    return _located(lambda row: "the mean-field pass", mean_field_pass, graph, cost, inputs, params)
+    return _located(None, mean_field_pass, graph, cost, inputs, params)
 
 
 def _default_idb_input(graph: Graph, inputs) -> np.ndarray | None:

@@ -23,11 +23,18 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def fold(seed: int, *labels: int) -> int:
-    """Derive a new 64-bit seed from `seed` and integer labels."""
+def fold(seed: int, *labels):
+    """Derive a new 64-bit seed from `seed` and integer labels.
+
+    Labels may also be integer arrays, broadcast against each other: the
+    result is then a uint64 array, each entry bit for bit the scalar `fold`
+    of its labels (uint64 arithmetic wraps as `& _MASK` does; a negative
+    label wraps modulo 2**64 in both).
+    """
     z = seed & _MASK
     for lab in labels:
-        z = _mix((z + 0x9E3779B97F4A7C15 + (lab & _MASK)) & _MASK)
+        lab = lab.astype(np.uint64) if isinstance(lab, np.ndarray) else lab & _MASK
+        z = _mix((z + 0x9E3779B97F4A7C15 & _MASK) + lab & _MASK)
     return z
 
 
@@ -57,9 +64,11 @@ def uniforms(seeds, count: int) -> np.ndarray:
     zeros = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = np.zeros((len(seeds), 2), dtype=np.uint64)
+    keys[:, 0] = [int(seed) & _MASK for seed in seeds]
     out = np.empty((len(seeds), count))
-    for row, seed in zip(out, seeds):
-        state["state"]["key"] = np.array([int(seed) & _MASK, 0], dtype=np.uint64)
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
         bitgen.state = state
         gen.random(count, out=row)
     return out

@@ -95,14 +95,14 @@ def test_sampling_moments_track_means():
     gen = stream(123)
     layer = BernoulliLayer(np.array([0.9, -0.6, 0.0, 2.2]))
     n = 2000
-    draws = np.stack([layer.sample(gen) for _ in range(n)])
+    draws = np.stack([layer.sample(gen.random(layer.uniforms(4))) for _ in range(n)])
     assert set(np.unique(draws)) <= {0.0, 1.0}
     m = layer.mean()
     se = np.sqrt(m * (1 - m) / n)
     assert np.all(np.abs(draws.mean(axis=0) - m) < 4 * se + 1e-9)
 
     cat = CategoricalLayer(np.array([1.0, 0.0, -1.0]), 3)
-    draws = np.stack([cat.sample(gen) for _ in range(n)])
+    draws = np.stack([cat.sample(gen.random(cat.uniforms(3, 3))) for _ in range(n)])
     assert np.all(draws.sum(axis=-1) == 1.0)
     m = cat.mean()
     se = np.sqrt(m * (1 - m) / n)
@@ -114,7 +114,7 @@ def test_categorical_sampling_covers_all_categories():
     cat = CategoricalLayer(np.zeros(4), 4)
     counts = np.zeros(4)
     for _ in range(400):
-        counts += cat.sample(gen)
+        counts += cat.sample(gen.random(cat.uniforms(4, 4)))
     assert np.all(counts > 50)  # fair 4-way units leave no category empty
 
 

@@ -209,6 +209,16 @@ def test_moments_name_the_draw_that_overflows(name, seed):
                           n_samples=64, seed=seed)
 
 
+def test_rollout_names_its_unpinned_anchor_the_mean_field_pass():
+    """Every draw is h=0 and finite; rollout's first anchor, which pins
+    nothing (p = 9e-14), is the pass that overflows."""
+    g, cost, _params = overflowing_unit()
+    with pytest.raises(ValueError, match="non-finite value produced at node 4 in the mean-field "
+                                         "pass$"):
+        empirical_moments(EstimatorConfig("muprop_rollout"), g, cost,
+                          params={"th": np.array([-30.0])}, n_samples=50)
+
+
 def test_weighted_rows_never_write_the_baseline_state():
     fam = sample_family(9)
     sid = fam.graph.stochastic_ids[0]

@@ -10,11 +10,12 @@ running this tool on the tree before and after it:
 A change that may reassociate floating-point sums in some group is checked
 by dumping every hashed value and comparing the dumps; `--compare` prints,
 per group, the count of float values whose bits differ and the worst
-relative error max |a - b| / max(1e-8, |b|):
+relative error max |a - b| / max(1e-8, |b|); with `--tol REL` it also exits
+1 when some group's worst relative error exceeds REL:
 
     python3 tools/exactness_digest.py --dump new.npz
     python3 tools/exactness_digest.py /path/to/src --dump old.npz
-    python3 tools/exactness_digest.py --compare new.npz old.npz
+    python3 tools/exactness_digest.py --compare new.npz old.npz --tol 1e-12
 
 Arrays are hashed and dumped with a leading axis of one row dropped, and a
 single value as a plain float, so an engine that gives its values a leading
@@ -39,14 +40,22 @@ The groups:
             compared by `--compare` (to float reassociation), not by digest;
 * draws:    3 seeded draws per estimator (flags `c,vn,idb` where allowed)
             at 8-4-4-8, 2x3-3x4-8, 392-200-200-392 and 200x10-784;
-* nll:      `evaluate_nll` for structured prediction and a variational SBN;
+* nll:      `evaluate_nll` at 8-4-8 (m = 2) and 2x3-4-8 (4 examples, 3 to 7
+            samples), 392-200-200-392 (3 examples x 10 samples) and
+            200x10-784 (2 x 3). Evaluation runs many rows through one
+            matrix product, whose sums BLAS orders differently from a
+            one-row product's, so this group is compared by `--compare`;
 * training: `run_experiment` at 8-4-8 and 200x10-784 for every estimator:
-            metrics.jsonl, metrics.csv and the checkpoint tensors.
+            the rows of metrics.jsonl and metrics.csv, parsed so that their
+            numbers compare as floats (an in-run evaluation is an `nll`
+            case), and the checkpoint tensors.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -223,6 +232,22 @@ def _nll(mp, h) -> None:
     X = synthetic_binary(4, 8, seed=6)
     for n in range(3, 8):
         _feed(h, mp.evaluate_nll(vm, params, X, n_samples=n, seed=n))
+    # wide layers: many rows per matrix product
+    g = mp.build_structured_predictor("392-200-200-392")
+    X, Y = synthetic_multimodal(3, 392, 392, seed=6)
+    _feed(h, mp.evaluate_nll(g, mp.init_params(g, seed=5), (X, Y), n_samples=10, seed=8))
+    vm = mp.build_sbn_variational("200x10-784")
+    X = synthetic_binary(2, 784, seed=6)
+    _feed(h, mp.evaluate_nll(vm, mp.init_params(vm.graph, seed=5), X, n_samples=3, seed=9))
+
+
+def _cell(text: str):
+    """A CSV cell as the number it spells, else as its text."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if isinstance(value, (int, float)) else text
 
 
 def _training(mp, h) -> None:
@@ -238,9 +263,10 @@ def _training(mp, h) -> None:
                     task=task, arch=arch, estimator=name, flags=("c", "vn", "idb"),
                     batch_size=3, seed=2, out_dir=out, log_every=1, eval_every=4, **sizes)
                 mp.run_experiment(cfg)
-                for fname in ("metrics.jsonl", "metrics.csv"):
-                    with open(os.path.join(out, fname), "rb") as fh:
-                        _feed(h, fh.read())
+                with open(os.path.join(out, "metrics.jsonl")) as fh:
+                    _feed(h, [json.loads(line) for line in fh])
+                with open(os.path.join(out, "metrics.csv"), newline="") as fh:
+                    _feed(h, [[_cell(text) for text in row] for row in csv.reader(fh)])
                 tensors, _meta = mp.load_checkpoint(os.path.join(out, "model.ckpt"))
                 _feed(h, tensors)
 
@@ -249,10 +275,11 @@ GROUPS = (("forced", _forced), ("oracle", _oracle), ("moments", _moments), ("dra
           ("nll", _nll), ("training", _training))
 
 
-def compare(path_a: str, path_b: str) -> int:
+def compare(path_a: str, path_b: str, tol: float | None = None) -> int:
     """Print each group's worst relative error between two dumps. Returns 1
-    if a group's layout or its exact (non-float) values differ, or if a value
-    is finite in one dump only."""
+    if a group's layout or its exact (non-float) values differ, if a value
+    is finite in one dump only, or if a group's worst relative error exceeds
+    `tol` (when given)."""
     a, b = np.load(path_a), np.load(path_b)
     status = 0
     for name, _run in GROUPS:
@@ -271,8 +298,12 @@ def compare(path_a: str, path_b: str) -> int:
             status = 1
         differ = int(np.count_nonzero(x[finite].view(np.int64) != y[finite].view(np.int64)))
         rel = np.abs(x[finite] - y[finite]) / np.maximum(1e-8, np.abs(y[finite]))
+        worst = float(np.max(rel, initial=0.0))
+        over = tol is not None and worst > tol
         print(f"{name:9s} values {x.size:8d}  differ {differ:7d}  "
-              f"worst relative error {float(np.max(rel, initial=0.0)):.3e}")
+              f"worst relative error {worst:.3e}" + (f"  above {tol:g}" if over else ""))
+        if over:
+            status = 1
     return status
 
 
@@ -283,9 +314,13 @@ def main(argv) -> int:
     ap.add_argument("--dump", metavar="PATH.npz", help="also write every hashed value")
     ap.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
                     help="compare two dumps instead of computing digests")
+    ap.add_argument("--tol", type=float, metavar="REL",
+                    help="with --compare, fail when a group's worst relative error exceeds REL")
     args = ap.parse_args(argv[1:])
+    if args.tol is not None and not args.compare:
+        ap.error("--tol needs --compare")
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, tol=args.tol)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import muprop as mp
