@@ -227,8 +227,10 @@ def evaluate_nll(
     and keeps its first S values. Round r of example i is one row, drawn
     from seed `rng.fold(seed, i, r)`; every example x round runs as the rows
     of one stochastic pass per block of consecutive rows, sized by
-    `oracle.BLOCK_ELEMENTS`. A row's values are those of a one-row pass at
-    its example and seed, to the order of BLAS's sums in a many-row product.
+    `oracle._block_rows` (a block's values hold at most
+    max(`oracle.BLOCK_ELEMENTS`, the graph's parameter entries) entries). A
+    row's values are those of a one-row pass at its example and seed, to the
+    order of BLAS's sums in a many-row product.
     """
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
     if n_samples < 1:

@@ -7,12 +7,13 @@ the exact expectation of any estimator, which is how unbiasedness claims are
 checked without appealing to sampling noise.
 
 The configurations are the rows of forced passes: `config_blocks` splits the
-joint support into blocks of consecutive configurations, sized so one pass
-holds at most `BLOCK_ELEMENTS` value entries, and each oracle runs one forced
-pass (and one sweep) per block. `empirical_moments` runs its draws the same
-way, as the rows of one stochastic pass per block. Every row of every block
-is checked for non-finite values, and an error names the node and the
-configuration or draw.
+joint support into blocks of consecutive configurations, sized by
+`_block_rows` so one pass holds at most max(`BLOCK_ELEMENTS`, P) value
+entries, P being the graph's parameter entries, and each oracle runs one
+forced pass (and one sweep) per block. `empirical_moments` runs its draws
+the same way, as the rows of one stochastic pass per block. Every row of
+every block is checked for non-finite values, and an error names the node
+and the configuration or draw.
 """
 from __future__ import annotations
 
@@ -27,14 +28,14 @@ from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forwa
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
-# value entries one enumeration (or `models.evaluate_nll`) pass may hold:
-# rows per block times the entries one row of the graph's computed nodes
-# takes (plus its parameters' in `empirical_moments`, whose rows keep their
-# own gradients). A pass's
-# adjoints, means and seeds take a few times as much again: enumerating a 12-unit
-# chain (4,096 configurations) for every estimator peaks 0.8 MiB above a
-# loop over configurations at 2**15 (256 KiB of values), 1.8 MiB at 2**16
-# and 3.7 MiB at 2**17.
+# value entries one enumeration (or `models.evaluate_nll`) pass may hold,
+# unless the graph's parameters have more entries (see `_block_rows`): rows
+# per block times the entries one row of the graph's computed nodes takes
+# (plus its parameters' in `empirical_moments`, whose rows keep their own
+# gradients). A pass's adjoints, means and seeds take a few times as much
+# again: enumerating a 12-unit chain (4,096 configurations) for every
+# estimator peaks 0.8 MiB above a loop over configurations at 2**15
+# (256 KiB of values), 1.8 MiB at 2**16 and 3.7 MiB at 2**17.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -71,11 +72,18 @@ def config_blocks(graph: Graph):
 
 
 def _block_rows(graph: Graph, per_row_extra: int = 0) -> int:
-    """Rows per block: `BLOCK_ELEMENTS` over one row's value entries plus
-    `per_row_extra`, at least one."""
+    """Rows per block: max(`BLOCK_ELEMENTS`, P) over one row's value entries
+    plus `per_row_extra`, at least one, where P is the graph's parameter
+    entries. Every pass reads all P of them, so a block's values may be as
+    large: a wide model's weights are read once per many rows, and the
+    values stay within the model's own size."""
     per_row = per_row_extra + sum(math.prod(n.shape) for n in graph.nodes
                                   if n.kind not in (Kind.INPUT, Kind.PARAMETER))
-    return max(1, BLOCK_ELEMENTS // max(per_row, 1))
+    return max(1, max(BLOCK_ELEMENTS, _param_entries(graph)) // max(per_row, 1))
+
+
+def _param_entries(graph: Graph) -> int:
+    return sum(math.prod(graph.nodes[p].shape) for p in graph.param_ids)
 
 
 def enumerate_configs(graph: Graph):
@@ -243,11 +251,11 @@ def empirical_moments(
         raise ValueError("need at least one sample")
     idb_input = _default_idb_input(graph, inputs)
     mf = _shared_mean_field(config, graph, cost, inputs, params)
-    rows = _block_rows(graph, sum(math.prod(graph.nodes[p].shape) for p in graph.param_ids))
+    rows = _block_rows(graph, _param_entries(graph))
     moments = _Moments()
     cost_acc = 0.0
     for start in range(0, n_samples, rows):
-        seeds = [_rng.fold(seed, i) for i in range(start, min(start + rows, n_samples))]
+        seeds = _rng.fold(seed, np.arange(start, min(start + rows, n_samples)))
         est = _located(
             lambda row: f"draw {start + row}", estimate, config, graph, cost, inputs, params,
             rng_seed=seeds, baselines=baselines, idb_input=idb_input, mf=mf, per_row=True,

@@ -27,15 +27,22 @@ def fold(seed: int, *labels):
     """Derive a new 64-bit seed from `seed` and integer labels.
 
     Labels may also be integer arrays, broadcast against each other: the
-    result is then a uint64 array, each entry bit for bit the scalar `fold`
-    of its labels (uint64 arithmetic wraps as `& _MASK` does; a negative
-    label wraps modulo 2**64 in both).
+    result is then a uint64 array of their broadcast shape, each entry bit
+    for bit the scalar `fold` of its labels (uint64 arithmetic wraps as
+    `& _MASK` does; a negative label wraps modulo 2**64 in both).
     """
     z = seed & _MASK
+    shape = None  # the array labels' broadcast shape, once there is one
     for lab in labels:
-        lab = lab.astype(np.uint64) if isinstance(lab, np.ndarray) else lab & _MASK
+        if isinstance(lab, np.ndarray):
+            shape = np.broadcast_shapes(lab.shape, shape or ())
+            # a 0-d label runs as one row: NumPy scalars, unlike arrays, warn
+            # when a uint64 product wraps
+            lab = lab.astype(np.uint64).reshape(lab.shape or (1,))
+        else:
+            lab = lab & _MASK
         z = _mix((z + 0x9E3779B97F4A7C15 & _MASK) + lab & _MASK)
-    return z
+    return z if shape is None else z.reshape(shape)
 
 
 def stream(seed: int, *labels: int) -> np.random.Generator:

@@ -1,5 +1,8 @@
 """Examples as rows: rowed bound inputs, `evaluate_nll` over blocks of
 example x round rows, and the array form of `rng.fold`."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from muprop import (
 from muprop import models as models_mod
 from muprop import oracle as oracle_mod
 from muprop.data import synthetic_binary, synthetic_multimodal
+from muprop.graph import Kind
 from muprop.numerics import log_mean_exp
+from muprop.oracle import sample_family
 from muprop.rng import fold
 
 REL_TOL = 1e-12
@@ -68,8 +73,7 @@ def test_evaluate_nll_matches_a_loop_of_one_row_passes(monkeypatch, arch, m, n, 
     rounds = -(-samples // (m or 1))
     if split:
         # three rows per block: blocks end inside an example's rounds
-        per_row = oracle_mod.BLOCK_ELEMENTS // oracle_mod._block_rows(graph)
-        monkeypatch.setattr(oracle_mod, "BLOCK_ELEMENTS", 3 * per_row)
+        monkeypatch.setattr(oracle_mod, "_block_rows", lambda graph, per_row_extra=0: 3)
         assert oracle_mod._block_rows(graph) == 3 and rounds % 3 != 0
     else:
         assert oracle_mod._block_rows(graph) > 1  # many rows share a pass
@@ -92,6 +96,40 @@ def test_evaluate_nll_runs_one_pass_per_block(monkeypatch):
     monkeypatch.setattr(oracle_mod, "BLOCK_ELEMENTS", 8 * per_row)
     evaluate_nll(model, params, data, n_samples=7, seed=1)
     assert calls == [8, 8, 8, 8, 3]  # 35 rows: 5 examples x 7 rounds
+
+
+def value_entries(graph):
+    return sum(math.prod(n.shape) for n in graph.nodes
+               if n.kind not in (Kind.INPUT, Kind.PARAMETER))
+
+
+def param_entries(graph):
+    return sum(math.prod(graph.nodes[p].shape) for p in graph.param_ids)
+
+
+def test_block_rows_read_the_weights_once_per_many_rows():
+    """Blocks are sized against max(BLOCK_ELEMENTS, parameter entries)."""
+    budget = oracle_mod.BLOCK_ELEMENTS
+    narrow = [sample_family(s).graph for s in range(10)] + [
+        build_structured_predictor("8-4-8"), build_structured_predictor("392-4-4-392"),
+        build_sbn_variational("2x10-784").graph]
+    for graph in narrow:  # parameters within BLOCK_ELEMENTS: sized by it alone
+        per_row, params = value_entries(graph), param_entries(graph)
+        assert params <= budget
+        assert oracle_mod._block_rows(graph) == max(1, budget // per_row)
+        assert oracle_mod._block_rows(graph, params) == max(1, budget // (per_row + params))
+    assert [oracle_mod._block_rows(g) for g in narrow[-3:]] == [819, 27, 13]
+    wide = {"392-200-200-392": 99, "200-784": 88, "200-200-784": 79, "200x10-784": 291}
+    for arch, want in wide.items():
+        graph = (build_structured_predictor(arch) if arch.startswith("392")
+                 else build_sbn_variational(arch).graph)
+        params, per_row = param_entries(graph), value_entries(graph)
+        rows = oracle_mod._block_rows(graph)
+        assert rows == want, arch
+        assert budget <= rows * per_row <= max(budget, params), arch
+        # `empirical_moments` counts each row's parameter entries: one-row
+        # blocks, as BLOCK_ELEMENTS alone gives
+        assert oracle_mod._block_rows(graph, params) == 1 == max(1, budget // (per_row + params))
 
 
 def rowed_cases():
@@ -155,6 +193,17 @@ def test_row_counts_and_shapes_must_agree():
 
 
 LABELS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+
+
+def test_a_zero_dim_label_folds_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, label in ((9, -3), (9, 2**64 - 1), (0, 7)):
+            got = fold(seed, np.array(label))
+            assert got.shape == () and got.dtype == np.uint64
+            assert int(got) == fold(seed, label)
+            got = fold(seed, np.array(label), 5, np.arange(3))
+            assert [int(v) for v in got] == [fold(seed, label, 5, j) for j in range(3)]
 
 
 def test_array_fold_matches_the_scalar_fold():
