@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, Kind, Mode, NonFiniteError, Trace, backward, forward
+from .graph import Graph, Kind, Mode, NonFiniteError, RowFactors, Trace, backward, forward
 from .numerics import as_tensor
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
@@ -207,7 +207,7 @@ def idb_update(
 @dataclass
 class GradientEstimate:
     """Parameter gradients summed over the rows (probability-weighted with
-    `weighted`, `[rows, *shape]` with `per_row`); the cost, log-probability
+    `weighted`, one per row with `per_row`); the cost, log-probability
     and diagnostics per row; and the number of passes run, however many rows
     each had."""
 
@@ -235,8 +235,11 @@ def _check_stochastic_trace(graph: Graph, trace: Trace) -> None:
 def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None,
                  weighted: bool = False, per_row: bool = False):
     """Final sweep: the seeds' gradient at every parameter, summed over the
-    rows (`[rows, *shape]`, one per row, with `per_row`), zeros if unreached.
-    With `weighted`, each row's seeds are scaled by its probability first."""
+    rows, zeros if unreached. With `per_row`, one per row: `RowFactors` for
+    the weights the sweep reaches through affine nodes, and `[rows, *shape]`
+    arrays, broadcast where the rows share a value, for every other
+    parameter. With `weighted`, each row's seeds are scaled by its
+    probability first."""
     if weighted:
         p = np.exp(trace.logprob)
         seeds = {nid: p.reshape(p.shape + (1,) * len(graph.nodes[nid].shape)) * s
@@ -248,8 +251,12 @@ def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None,
         shape = graph.nodes[pid].shape
         if per_row:
             rows = len(trace.logprob)
-            if g is None or len(g) != rows:
-                g = np.zeros((rows,) + shape) if g is None else np.broadcast_to(g, (rows,) + shape)
+            if g is None:
+                g = np.broadcast_to(0.0, (rows,) + shape)
+            elif len(g) != rows:  # an adjoint no draw changes
+                g = (RowFactors([(np.broadcast_to(a, (rows,) + a.shape[1:]), x)
+                                 for a, x in g.pairs])
+                     if isinstance(g, RowFactors) else np.broadcast_to(g, (rows,) + shape))
             out[pid] = g
         else:
             out[pid] = as_tensor(g[0]) if g is not None else np.zeros(shape)
@@ -581,7 +588,9 @@ def estimate(
     `rng_seed=seeds[i]` draws; with a kept `baselines` state, the block
     leaves it as those B calls made in order would. `weighted` weights each
     row's estimate by its probability, and `per_row` keeps each row's
-    parameter gradients apart, `[rows, *shape]` (see the module docstring).
+    parameter gradients apart: `RowFactors` for affine weights, whose rows'
+    outer products are never formed here, and `[rows, *shape]` arrays for
+    every other parameter (see the module docstring).
     `validate` goes to every pass it runs (see `forward`).
     """
     name = config.name

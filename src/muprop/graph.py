@@ -26,7 +26,8 @@ nodes behave as gradient barriers exactly when the trace marks them as drawn
 from the requested nodes (activity analysis), so a sweep whose reader looks
 at a few nodes skips the rest of the graph. An adjoint has its node's rows; one
 flowing into a parent with fewer rows is summed over the rows, so a
-parameter's adjoint is the sum of every row's (`per_row` keeps them apart).
+parameter's adjoint is the sum of every row's (`per_row` keeps them apart,
+an affine weight's as the rows' factors, `RowFactors`).
 
 Graphs are append-only during construction and treated as immutable afterwards,
 so a built graph can be shared read-only across threads; the only state a
@@ -360,13 +361,51 @@ def _affine_vjp(node, values, a, j):
     return (np.outer(a, values[x]) if len(a) == 1 else a.T @ values[x])[None]
 
 
+class RowFactors:
+    """Per-row gradients of an affine weight `[m, n]`, kept as factors: a
+    list of `(a, x)` pairs, `a` the rows of the adjoint at an affine output
+    (`[rows, m]`) and `x` the rows of that affine's input (`[rows or 1, n]`,
+    one row serving every row). Row r's gradient is the sum over pairs of
+    the outer products `a[r] x[r]^T`, in the order the sweep added them, and
+    `dense` forms any rows of the weight at a time. Adding an array forms
+    them all."""
+
+    __array_ufunc__ = None  # `array + factors` calls `__radd__`
+
+    def __init__(self, pairs: list):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return max(len(a) for a, _x in self.pairs)
+
+    @property
+    def shape(self) -> tuple:
+        a, x = self.pairs[0]
+        return (len(self), a.shape[1], x.shape[1])
+
+    def __add__(self, other):
+        if isinstance(other, RowFactors):
+            return RowFactors(self.pairs + other.pairs)
+        return self.dense() + other
+
+    def __radd__(self, other):
+        return other + self.dense()
+
+    def dense(self, index=slice(None)) -> np.ndarray:
+        """The rows' gradients at the weight rows `index`, `[rows, *w[index].shape]`."""
+        out = None
+        for a, x in self.pairs:
+            # einsum forms the products faster than `a[:, index, None] * x[:, None, :]`
+            g = np.einsum("ri,rj->rij", a[:, index], x)
+            out = g if out is None else out + g
+        return out
+
+
 def _affine_per_row_vjp(node, values, a, j):
-    """`_affine_vjp`, with each row's weight adjoint, its outer product
-    `a[:, :, None] * x[:, None, :]`, kept (einsum forms it about twice as
-    fast as that broadcast product; a zero product may be +0.0 here)."""
+    """`_affine_vjp`, with the rows' weight adjoints kept as `RowFactors`."""
     if j != 1:
         return _affine_vjp(node, values, a, j)
-    return np.einsum("ri,rj->rij", a, values[node.parents[0]])
+    return RowFactors([(a, values[node.parents[0]])])
 
 
 # the vjps a `per_row` sweep uses instead of the table's
@@ -649,8 +688,11 @@ def backward(
     leading row axis. Each adjoint has its node's rows, `[1 or rows, *shape]`;
     a parameter's or input's is summed over the rows. With `per_row` no
     adjoint is summed over rows: each keeps the rows it has, so a parameter's
-    adjoint is `[rows, *shape]`, one gradient per row (an affine weight's as
-    the rows' outer products `a[:, :, None] * x[:, None, :]`).
+    adjoint holds one gradient per row, `[rows, *shape]`. An affine weight's
+    is kept as its factors (`RowFactors`): the rows of the adjoint at each
+    affine output it feeds, with the rows of that affine's input, so no
+    `[rows, m, n]` array is built. A weight that some other op also reads,
+    or that is itself computed, gets its rows' products formed.
 
     A stochastic node that is not a barrier passes its adjoint on through its
     layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,
@@ -697,6 +739,8 @@ def backward(
                 vjp = _OPS[node.op].vjp
                 if per_row:
                     vjp = _PER_ROW_VJPS.get(node.op, vjp)
+                    if isinstance(a, RowFactors):  # a computed weight: its op reads rows
+                        a = a.dense()
             elif kind == Kind.COST:
                 vjp = _pass_vjp
             elif kind != Kind.STOCHASTIC:

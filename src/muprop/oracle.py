@@ -11,9 +11,11 @@ joint support into blocks of consecutive configurations, sized by
 `_block_rows` so one pass holds at most max(`BLOCK_ELEMENTS`, P) value
 entries, P being the graph's parameter entries, and each oracle runs one
 forced pass (and one sweep) per block. `empirical_moments` runs its draws
-the same way, as the rows of one stochastic pass per block. Every row of
-every block is checked for non-finite values, and an error names the node
-and the configuration or draw.
+the same way, in blocks of the same size, as the rows of one stochastic
+pass per block: each row keeps its own gradients, an affine weight's as
+factors of a few value rows, so a row costs no more than in any other
+pass. Every row of every block is checked for non-finite values, and an
+error names the node and the configuration or draw.
 """
 from __future__ import annotations
 
@@ -28,14 +30,14 @@ from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forwa
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
-# value entries one enumeration (or `models.evaluate_nll`) pass may hold,
-# unless the graph's parameters have more entries (see `_block_rows`): rows
-# per block times the entries one row of the graph's computed nodes takes
-# (plus its parameters' in `empirical_moments`, whose rows keep their own
-# gradients). A pass's adjoints, means and seeds take a few times as much
-# again: enumerating a 12-unit chain (4,096 configurations) for every
-# estimator peaks 0.8 MiB above a loop over configurations at 2**15
-# (256 KiB of values), 1.8 MiB at 2**16 and 3.7 MiB at 2**17.
+# value entries one blocked pass (enumeration, `empirical_moments`,
+# `models.evaluate_nll`) may hold, unless the graph's parameters have more
+# entries (see `_block_rows`): rows per block times the entries one row of
+# the graph's computed nodes takes. A pass's adjoints, means and seeds take a
+# few times as much again: enumerating a 12-unit chain (4,096
+# configurations) for every estimator peaks 0.8 MiB above a loop over
+# configurations at 2**15 (256 KiB of values), 1.8 MiB at 2**16 and 3.7 MiB
+# at 2**17.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -71,14 +73,14 @@ def config_blocks(graph: Graph):
         yield start, forced
 
 
-def _block_rows(graph: Graph, per_row_extra: int = 0) -> int:
-    """Rows per block: max(`BLOCK_ELEMENTS`, P) over one row's value entries
-    plus `per_row_extra`, at least one, where P is the graph's parameter
-    entries. Every pass reads all P of them, so a block's values may be as
-    large: a wide model's weights are read once per many rows, and the
-    values stay within the model's own size."""
-    per_row = per_row_extra + sum(math.prod(n.shape) for n in graph.nodes
-                                  if n.kind not in (Kind.INPUT, Kind.PARAMETER))
+def _block_rows(graph: Graph) -> int:
+    """Rows per block: max(`BLOCK_ELEMENTS`, P) over one row's value
+    entries, at least one, where P is the graph's parameter entries. Every
+    pass reads all P of them, so a block's values may be as large: a wide
+    model's weights are read once per many rows, and the values stay within
+    the model's own size."""
+    per_row = sum(math.prod(n.shape) for n in graph.nodes
+                  if n.kind not in (Kind.INPUT, Kind.PARAMETER))
     return max(1, max(BLOCK_ELEMENTS, _param_entries(graph)) // max(per_row, 1))
 
 
@@ -234,24 +236,27 @@ def empirical_moments(
 
     Draw i is the one-row draw at `rng.fold(seed, i)`. The draws run as the
     rows of one `estimate` call per block of consecutive draws (its seeds,
-    one per row), sized by `BLOCK_ELEMENTS` counting each row's value
-    entries plus its parameter entries, since every row keeps its own
-    gradients (`per_row`). Baseline state, if given, evolves across the draws
-    exactly as it would over one-draw calls: row i is adjusted against the
-    statistics draws 0..i-1 left behind, and the `idb` net predicts and
-    trains once per draw; without one, every draw sees fresh statistics.
-    Each block's mean and M2 fold into the running ones by Chan et al.'s
-    pairwise update. Every block is checked for non-finite values, and the
-    error names the node and the draw; the bound inputs and parameters, the
-    same in every block, are checked in the first. `muprop`'s mean-field
-    pass does not depend on the draw, so it runs once. Returns (mean,
-    variance, mean_cost) with per-parameter arrays.
+    one per row), sized by `_block_rows` as every blocked pass is. Every row
+    keeps its own gradients (`per_row`), an affine weight's as `RowFactors`,
+    whose outer products are formed a slice of the weight at a time as they
+    fold in: no block builds a `[rows, m, n]` array, and a call holds little
+    more than the mean and variance. Baseline state, if given, evolves across
+    the draws exactly as it would over one-draw calls: row i is adjusted
+    against the statistics draws 0..i-1 left behind, and the `idb` net
+    predicts and trains once per draw; without one, every draw sees fresh
+    statistics. Each block's mean and M2 fold into the running ones by Chan
+    et al.'s pairwise update, and the variance is the M2 divided in place.
+    Every block is checked for non-finite values, and the error names the
+    node and the draw; the bound inputs and parameters, the same in every
+    block, are checked in the first. `muprop`'s mean-field pass does not
+    depend on the draw, so it runs once. Returns (mean, variance, mean_cost)
+    with per-parameter arrays.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     idb_input = _default_idb_input(graph, inputs)
     mf = _shared_mean_field(config, graph, cost, inputs, params)
-    rows = _block_rows(graph, _param_entries(graph))
+    rows = _block_rows(graph)
     moments = _Moments()
     cost_acc = 0.0
     for start in range(0, n_samples, rows):
@@ -264,13 +269,13 @@ def empirical_moments(
         for c in est.cost.tolist():
             cost_acc += c
         moments.add(est.grads, len(seeds))
-    var = {w: m2 / n_samples for w, m2 in moments.m2.items()}
-    return moments.mean, var, cost_acc / n_samples
+    for m2 in moments.m2.values():
+        m2 /= n_samples
+    return moments.mean, moments.m2, cost_acc / n_samples
 
 
-# entries of a parameter that `_Moments` folds at a time: a slice of each
-# operand (mean, M2, the block's mean and two scratch slices) stays in cache,
-# which halves the cost of a wide task's one-row blocks
+# entries of a block's per-row gradients that `_Moments` forms and folds at a
+# time, so that a slice of every operand stays in cache
 MERGE_CHUNK = 1 << 14
 
 
@@ -283,38 +288,39 @@ class _Moments:
         self.count = 0
         self.mean: dict[int, np.ndarray] = {}
         self.m2: dict[int, np.ndarray] = {}
-        self._delta = np.empty(MERGE_CHUNK)
-        self._step = np.empty(MERGE_CHUNK)
 
-    def add(self, grads: dict[int, np.ndarray], rows: int) -> None:
-        """Fold in one block of `rows` rows: `[rows, *shape]` per parameter."""
-        for w, g in grads.items():
-            block_mean, block_m2 = g[0], None
-            if rows > 1:
-                block_mean = g.mean(axis=0)
-                dev = g - block_mean
-                dev *= dev
-                block_m2 = dev.sum(axis=0)
-            if not self.count:
-                self.mean[w] = np.array(block_mean)
-                self.m2[w] = np.zeros_like(block_mean) if block_m2 is None else np.array(block_m2)
-            else:
-                self._merge(w, np.ravel(block_mean), block_m2, rows)
-        self.count += rows
-
-    def _merge(self, w: int, block_mean: np.ndarray, block_m2, rows: int) -> None:
+    def add(self, grads: dict, rows: int) -> None:
+        """Fold in one block of `rows` rows: `[rows, *shape]` or `RowFactors`
+        per parameter. Each parameter runs over slices of its leading axis
+        holding at most `MERGE_CHUNK` of the block's entries (one index at
+        least): the slice's rows are formed, and their mean and M2 merge
+        into the running ones in place."""
         total = self.count + rows
-        mean, m2 = self.mean[w].reshape(-1), self.m2[w].reshape(-1)
-        for lo in range(0, mean.size, MERGE_CHUNK):
-            hi = min(lo + MERGE_CHUNK, mean.size)
-            delta, step = self._delta[: hi - lo], self._step[: hi - lo]
-            np.subtract(block_mean[lo:hi], mean[lo:hi], out=delta)
-            mean[lo:hi] += np.multiply(delta, rows / total, out=step)
-            delta *= delta
-            delta *= self.count * rows / total
-            if block_m2 is not None:
-                delta += block_m2.reshape(-1)[lo:hi]
-            m2[lo:hi] += delta
+        for w, g in grads.items():
+            shape = g.shape[1:]
+            if not self.count:
+                self.mean[w], self.m2[w] = np.empty(shape), np.empty(shape)
+            mean, m2 = self.mean[w], self.m2[w]
+            step = max(1, MERGE_CHUNK // (rows * math.prod(shape[1:])))
+            for lo in range(0, shape[0] if shape else 1, step):
+                index = slice(lo, lo + step) if shape else ...
+                formed = not isinstance(g, np.ndarray)  # a fresh array, free to overwrite
+                part = g.dense(index) if formed else g[:, index]
+                block_mean = np.add.reduce(part, axis=0)
+                block_mean /= rows  # `part.mean(axis=0)`, bitwise
+                dev = np.subtract(part, block_mean, out=part if formed else None)
+                dev *= dev
+                block_m2 = np.add.reduce(dev, axis=0)
+                if not self.count:
+                    mean[index], m2[index] = block_mean, block_m2
+                    continue
+                delta = block_mean - mean[index]
+                mean[index] += delta * (rows / total)
+                delta *= delta
+                delta *= self.count * rows / total
+                delta += block_m2
+                m2[index] += delta
+        self.count = total
 
 
 def relative_error(a, b, floor: float = 1e-8) -> float:

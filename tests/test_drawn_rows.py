@@ -1,5 +1,4 @@
 """Draws as rows: a pass of B seeds, and `empirical_moments` over blocks of draws."""
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,9 +128,8 @@ def test_moments_match_a_loop_over_draws():
 
 
 def block_rows(graph):
-    """Rows per `empirical_moments` block: value plus parameter entries count."""
-    return oracle_mod._block_rows(graph, sum(math.prod(graph.nodes[p].shape)
-                                             for p in graph.param_ids))
+    """Rows per `empirical_moments` block: the rule of every blocked pass."""
+    return oracle_mod._block_rows(graph)
 
 
 def test_moments_match_a_loop_over_draws_across_blocks(monkeypatch):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from muprop import (
+    EstimatorConfig,
     Mode,
     build_sbn_variational,
     build_structured_predictor,
+    empirical_moments,
+    estimate,
     evaluate_nll,
     forward,
     init_params,
@@ -73,7 +76,7 @@ def test_evaluate_nll_matches_a_loop_of_one_row_passes(monkeypatch, arch, m, n, 
     rounds = -(-samples // (m or 1))
     if split:
         # three rows per block: blocks end inside an example's rounds
-        monkeypatch.setattr(oracle_mod, "_block_rows", lambda graph, per_row_extra=0: 3)
+        monkeypatch.setattr(oracle_mod, "_block_rows", lambda graph: 3)
         assert oracle_mod._block_rows(graph) == 3 and rounds % 3 != 0
     else:
         assert oracle_mod._block_rows(graph) > 1  # many rows share a pass
@@ -117,7 +120,6 @@ def test_block_rows_read_the_weights_once_per_many_rows():
         per_row, params = value_entries(graph), param_entries(graph)
         assert params <= budget
         assert oracle_mod._block_rows(graph) == max(1, budget // per_row)
-        assert oracle_mod._block_rows(graph, params) == max(1, budget // (per_row + params))
     assert [oracle_mod._block_rows(g) for g in narrow[-3:]] == [819, 27, 13]
     wide = {"392-200-200-392": 99, "200-784": 88, "200-200-784": 79, "200x10-784": 291}
     for arch, want in wide.items():
@@ -127,9 +129,25 @@ def test_block_rows_read_the_weights_once_per_many_rows():
         rows = oracle_mod._block_rows(graph)
         assert rows == want, arch
         assert budget <= rows * per_row <= max(budget, params), arch
-        # `empirical_moments` counts each row's parameter entries: one-row
-        # blocks, as BLOCK_ELEMENTS alone gives
-        assert oracle_mod._block_rows(graph, params) == 1 == max(1, budget // (per_row + params))
+
+
+@pytest.mark.parametrize("arch,draws,blocks", [("392-200-200-392", 100, [99, 1]),
+                                              ("200x10-784", 10, [10])])
+def test_moments_blocks_take_the_rows_of_every_other_pass(monkeypatch, arch, draws, blocks):
+    """`empirical_moments` sizes its blocks by `_block_rows` as enumeration
+    and `evaluate_nll` do: a row's weight gradients are factors, not P entries."""
+    _model, graph, params, X, Y, _data = eval_case(arch, 1 if arch.startswith("392") else None, 1)
+    inputs = {"x": X[0]} if Y is None else {"x": X[0], "y": Y[0]}
+    rows = []
+
+    def counting(*args, rng_seed, **kwargs):
+        rows.append(len(rng_seed))
+        return estimate(*args, rng_seed=rng_seed, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "estimate", counting)
+    empirical_moments(EstimatorConfig("lr"), graph, graph.meta["cost"], inputs, params,
+                      n_samples=draws, seed=2)
+    assert rows == blocks
 
 
 def rowed_cases():

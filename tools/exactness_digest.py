@@ -34,10 +34,11 @@ The groups:
             `finite_difference_check`;
 * moments:  2,000-draw `empirical_moments` per estimator (flags `c` and
             `c,vn,idb` where allowed) on `sample_family(0..9)`, with the
-            final baseline state. 2,000 draws span two or more blocks on
-            every one of these graphs, and a block's moments are summed in
-            a different order from a loop over draws, so this group is
-            compared by `--compare` (to float reassociation), not by digest;
+            final baseline state. 2,000 draws run as one block on four of
+            these graphs (seeds 0, 3, 7 and 8) and as two on the other six,
+            and a block's moments are summed in a different order from a
+            loop over draws, so this group is compared by `--compare` (to
+            float reassociation), not by digest;
 * draws:    3 seeded draws per estimator (flags `c,vn,idb` where allowed)
             at 8-4-4-8, 2x3-3x4-8, 392-200-200-392 and 200x10-784;
 * nll:      `evaluate_nll` at 8-4-8 (m = 2) and 2x3-4-8 (4 examples, 3 to 7
