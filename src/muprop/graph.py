@@ -366,9 +366,9 @@ class RowFactors:
     list of `(a, x)` pairs, `a` the rows of the adjoint at an affine output
     (`[rows, m]`) and `x` the rows of that affine's input (`[rows or 1, n]`,
     one row serving every row). Row r's gradient is the sum over pairs of
-    the outer products `a[r] x[r]^T`, in the order the sweep added them, and
-    `dense` forms any rows of the weight at a time. Adding an array forms
-    them all."""
+    the outer products `a[r] x[r]^T`, in the order the sweep added them.
+    `dense` forms any rows of the weight at a time and `total` the rows'
+    sum. Adding factors joins their pairs; adding an array forms them all."""
 
     __array_ufunc__ = None  # `array + factors` calls `__radd__`
 
@@ -382,6 +382,11 @@ class RowFactors:
     def shape(self) -> tuple:
         a, x = self.pairs[0]
         return (len(self), a.shape[1], x.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the pairs' arrays, as `ndarray.nbytes` counts them."""
+        return sum(a.nbytes + x.nbytes for a, x in self.pairs)
 
     def __add__(self, other):
         if isinstance(other, RowFactors):
@@ -399,6 +404,14 @@ class RowFactors:
             g = np.einsum("ri,rj->rij", a[:, index], x)
             out = g if out is None else out + g
         return out
+
+    def total(self) -> np.ndarray:
+        """The sum of every row's gradient, `[m, n]`: one product `A.T @ X`
+        over the pairs' rows stacked in order."""
+        a = np.concatenate([a for a, _x in self.pairs])
+        x = np.concatenate([x if len(x) == len(a_) else np.broadcast_to(x, (len(a_),) + x.shape[1:])
+                            for a_, x in self.pairs])
+        return a.T @ x
 
 
 def _affine_per_row_vjp(node, values, a, j):

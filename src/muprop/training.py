@@ -23,6 +23,7 @@ import numpy as np
 from . import rng as _rng
 from .data import binarize, load_mnist, split_halves, synthetic_binary, synthetic_multimodal
 from .estimators import SCORE_ESTIMATORS, BaselineState, EstimatorConfig, estimate
+from .graph import RowFactors
 from .models import build_sbn_variational, build_structured_predictor, evaluate_nll, init_params
 
 METRIC_FIELDS = (
@@ -287,17 +288,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             baselines=baselines,
                             idb_input=inputs["x"],
                             validate=step == 0,
+                            per_row=True,
                         )
                     cost_acc += est.cost.item()
                     for pid, g in est.grads.items():
-                        if pid in acc:
-                            np.add(acc[pid], g, out=acc[pid])
+                        if isinstance(g, RowFactors):  # the batch's rows, summed at the step
+                            acc[pid] = acc[pid] + g if pid in acc else g
+                        elif pid in acc:
+                            np.add(acc[pid], g[0], out=acc[pid])
                         else:  # 0.0 + g (so -0.0 reads 0.0), into an array of our own
-                            acc[pid] = np.add(0.0, g, out=np.empty_like(g))
+                            acc[pid] = np.add(0.0, g[0], out=np.empty_like(g[0]))
                     if est.node_diag:
                         sig_acc.append(float(np.mean([d["signal"] for d in est.node_diag.values()])))
                 scale = 1.0 / len(batch)
-                grads = {pid: g * scale for pid, g in acc.items()}
+                grads = {pid: (g.total() if isinstance(g, RowFactors) else g) * scale
+                         for pid, g in acc.items()}
                 batch_cost = cost_acc * scale
                 gnorm = _grad_norm(grads)
                 if not (math.isfinite(batch_cost) and math.isfinite(gnorm)):

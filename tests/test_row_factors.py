@@ -172,6 +172,28 @@ def test_shared_and_read_weights_keep_their_forms():
     assert isinstance(grads["T"], np.ndarray) and grads["T"].shape == (3, 2, 3)
 
 
+def test_factors_count_their_bytes_and_sum_their_rows():
+    """`nbytes` counts the pairs' arrays, the bytes a sweep's factored
+    adjoint holds, and `total` is the rows' summed gradient."""
+    graph, cost, inputs, params = shared_weight_case()
+    est = estimate(EstimatorConfig("lr"), graph, cost, inputs, params,
+                   rng_seed=[1, 2, 3], per_row=True)
+    w = {graph.nodes[p].name: g for p, g in est.grads.items()}["W"]
+    # three [3, 2] adjoint rows, the one-row input x [1, 3] and h0 [3, 3] twice
+    assert w.nbytes == 8 * (3 * 6 + 3 + 2 * 9)
+    want = formed(w).sum(axis=0)
+    assert np.max(np.abs(w.total() - want)) <= 1e-14 * np.max(np.abs(want))
+    graph, cost, inputs, params = wide_case("200x10-784")
+    est = estimate(EstimatorConfig("lr"), graph, cost, inputs, params, rng_seed=3, per_row=True)
+    factored = [g for g in est.grads.values() if isinstance(g, RowFactors)]
+    assert len(factored) == 2
+    for g in factored:
+        _rows, m, n = g.shape
+        assert g.nbytes == 8 * (m + n)
+        a, x = g.pairs[0]
+        assert np.array_equal(g.total(), np.outer(a, x) + 0.0)
+
+
 def test_moments_of_a_wide_model_hold_little_more_than_its_mean_and_variance():
     """One 10-draw moments call at 200x10-784 keeps its mean and M2 (two
     arrays of P entries) and no per-row weight gradients."""

@@ -5,7 +5,19 @@ import os
 import numpy as np
 import pytest
 
-from muprop import ExperimentConfig, load_checkpoint, run_experiment, save_checkpoint
+from muprop import (
+    BaselineState,
+    EstimatorConfig,
+    ExperimentConfig,
+    estimate,
+    init_params,
+    load_checkpoint,
+    run_experiment,
+    save_checkpoint,
+)
+from muprop import training
+from muprop.estimators import ESTIMATORS, SCORE_ESTIMATORS
+from muprop.rng import fold, stream
 from muprop.training import (
     METRIC_FIELDS,
     MetricsWriter,
@@ -260,3 +272,77 @@ def test_summary_reports_the_flags_the_estimator_ran_with(tmp_path):
         summary = run_experiment(small_config(out, estimator=name, flags=flags, max_steps=1))
         assert summary["flags"] == want, name
         assert json.loads((out / "summary.json").read_text())["flags"] == want, name
+
+
+# (task, arch, m, batch): m = 2 shares each weight between two affine nodes
+STEP_CASES = (
+    ("structured_prediction", "8-4-8", 1, 4),
+    ("structured_prediction", "8-4-8", 2, 4),
+    ("structured_prediction", "392-200-200-392", 1, 4),
+    ("variational", "200x10-784", 1, 5),
+    ("structured_prediction", "3-2x3-5", 1, 4),
+    ("variational", "3-2x3-5", 1, 4),
+)
+STEP_ESTIMATORS = [(name, flags) for name in ESTIMATORS
+                   for flags in (((), ("c",), ("c", "vn"), ("c", "vn", "idb"))
+                                 if name in SCORE_ESTIMATORS else ((),))]
+
+
+def loop_step_grads(cfg):
+    """Step 1's gradients as a loop of one-example estimates with dense
+    weight gradients, folded by `np.add` in batch order, at the run's
+    initial parameters, seeds, batch order and evolving baseline state."""
+    graph, cost = training._build_task(cfg)
+    est_cfg = EstimatorConfig(cfg.estimator, flags=cfg.flags)
+    params = init_params(graph, seed=fold(cfg.seed, 11))
+    baselines = BaselineState(seed=fold(cfg.seed, 12))
+    train, _evalset = training._load_data(cfg, epoch_seed=fold(cfg.seed, 31, 0))
+    order = stream(cfg.seed, 32, 0).permutation(len(train[0]))
+    acc = {}
+    for i in order[: cfg.batch_size]:
+        inputs = dict(zip(("x", "y"), (t[i] for t in train)))
+        est = estimate(est_cfg, graph, cost, inputs, params, rng_seed=fold(cfg.seed, 33, 0, int(i)),
+                       baselines=baselines, idb_input=inputs["x"])
+        for pid, g in est.grads.items():
+            acc[pid] = np.add(acc[pid], g) if pid in acc else np.add(0.0, g)
+    return {graph.nodes[pid].name: g * (1.0 / cfg.batch_size) for pid, g in acc.items()}
+
+
+@pytest.mark.parametrize("task,arch,m,batch", STEP_CASES,
+                         ids=[f"{c[0][:3]}-{c[1]}-m{c[2]}" for c in STEP_CASES])
+@pytest.mark.parametrize("name,flags", STEP_ESTIMATORS,
+                         ids=[f"{n}-{','.join(f) or 'none'}" for n, f in STEP_ESTIMATORS])
+def test_step_gradient_matches_a_loop_of_example_estimates(tmp_path, monkeypatch, task, arch, m,
+                                                           batch, name, flags):
+    """A step's gradient, each weight's formed by one product over the
+    batch's factor rows, is the per-example loop's to 1e-12 of each
+    parameter's largest |entry|."""
+    steps = []
+
+    def capture(params, grads, velocity, lr, momentum):
+        steps.append({k: np.array(g) for k, g in grads.items()})
+        return sgd_momentum_step(params, grads, velocity, lr, momentum)
+
+    monkeypatch.setattr(training, "sgd_momentum_step", capture)
+    cfg = small_config(tmp_path / "run", task=task, arch=arch, m_train=m, batch_size=batch,
+                       train_size=batch, estimator=name, flags=flags, epochs=1, eval_size=1,
+                       eval_samples=1, seed=5)
+    run_experiment(cfg)
+    want = loop_step_grads(cfg)
+    assert len(steps) == 1 and steps[0].keys() == want.keys()
+    for key, g in want.items():
+        err = np.max(np.abs(steps[0][key] - g), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(g), initial=0.0), (key, err)
+
+
+def test_training_makes_one_estimate_call_per_trained_example(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rng_seed"])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "estimate", counted)
+    summary = run_experiment(small_config(tmp_path / "run", train_size=10, batch_size=4))
+    assert summary["steps"] == 2 * 3  # batches of 4, 4 and 2 in each epoch
+    assert len(calls) == 2 * 10 and len(set(calls)) == len(calls)

@@ -10,8 +10,11 @@ running this tool on the tree before and after it:
 A change that may reassociate floating-point sums in some group is checked
 by dumping every hashed value and comparing the dumps; `--compare` prints,
 per group, the count of float values whose bits differ and the worst
-relative error max |a - b| / max(1e-8, |b|); with `--tol REL` it also exits
-1 when some group's worst relative error exceeds REL:
+relative error max |a - b| / max(1e-8, max |leaf|), each value measured
+against the largest finite |value| of its own array (leaf) in the second
+dump, so a tiny entry beside large ones is held to the leaf's scale; with
+`--tol REL` it also exits 1 when some group's worst relative error exceeds
+REL:
 
     python3 tools/exactness_digest.py --dump new.npz
     python3 tools/exactness_digest.py /path/to/src --dump old.npz
@@ -46,17 +49,25 @@ The groups:
             200x10-784 (2 x 3). Evaluation runs many rows through one
             matrix product, whose sums BLAS orders differently from a
             one-row product's, so this group is compared by `--compare`;
-* training: `run_experiment` at 8-4-8 and 200x10-784 for every estimator:
-            the rows of metrics.jsonl and metrics.csv, parsed so that their
-            numbers compare as floats (an in-run evaluation is an `nll`
-            case), and the checkpoint tensors.
+* training: `run_experiment` at 8-4-8, 392-200-200-392 (batch 10) and
+            200x10-784 for every estimator: the columns of metrics.jsonl and
+            metrics.csv, parsed so that their numbers compare as floats, a
+            column's floats as one array (an in-run evaluation is an `nll`
+            case), and the checkpoint tensors;
+* shared:   the 8-4-8 training runs at m = 2, where each weight feeds two
+            affine nodes per example. A step sums the batch's weight
+            gradients as one product over every example's pairs of rows,
+            in a different order from a per-example fold, so this group is
+            compared by `--compare`.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -251,29 +262,69 @@ def _cell(text: str):
     return value if isinstance(value, (int, float)) else text
 
 
+SMALL = dict(train_size=40, eval_size=8, eval_samples=4, epochs=2, batch_size=3)
+
+
+def _columns(rows: list[dict]) -> dict:
+    """Metric rows as columns: each column's floats as one array, so that
+    `--compare` measures a logged value at its column's scale, and the
+    column's other entries (ints, bools, None, text) with their row index."""
+    out = {}
+    for key in rows[0]:
+        column = [row[key] for row in rows]
+        out[key] = (np.array([v for v in column if isinstance(v, float)]),
+                    [(i, v) for i, v in enumerate(column) if not isinstance(v, float)])
+    return out
+
+
 def _training(mp, h) -> None:
-    runs = (
-        ("structured_prediction", "8-4-8", dict(train_size=40, eval_size=8, eval_samples=4, epochs=2)),
-        ("variational", "200x10-784", dict(train_size=6, eval_size=2, eval_samples=2, epochs=1)),
-    )
+    _train_runs(mp, h, (
+        ("structured_prediction", "8-4-8", SMALL),
+        ("structured_prediction", "392-200-200-392",
+         dict(train_size=20, eval_size=2, eval_samples=2, epochs=1, batch_size=10)),
+        ("variational", "200x10-784",
+         dict(train_size=6, eval_size=2, eval_samples=2, epochs=1, batch_size=3)),
+    ))
+
+
+def _shared(mp, h) -> None:
+    _train_runs(mp, h, (("structured_prediction", "8-4-8", dict(SMALL, m_train=2)),))
+
+
+def _train_runs(mp, h, runs) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for task, arch, sizes in runs:
             for name in ESTIMATORS:
                 out = os.path.join(tmp, f"{arch}-{name}")
                 cfg = mp.ExperimentConfig(
                     task=task, arch=arch, estimator=name, flags=("c", "vn", "idb"),
-                    batch_size=3, seed=2, out_dir=out, log_every=1, eval_every=4, **sizes)
+                    seed=2, out_dir=out, log_every=1, eval_every=4, **sizes)
                 mp.run_experiment(cfg)
                 with open(os.path.join(out, "metrics.jsonl")) as fh:
-                    _feed(h, [json.loads(line) for line in fh])
+                    _feed(h, _columns([json.loads(line) for line in fh]))
                 with open(os.path.join(out, "metrics.csv"), newline="") as fh:
-                    _feed(h, [[_cell(text) for text in row] for row in csv.reader(fh)])
+                    _feed(h, _columns([{key: _cell(text) for key, text in row.items()}
+                                       for row in csv.DictReader(fh)]))
                 tensors, _meta = mp.load_checkpoint(os.path.join(out, "model.ckpt"))
                 _feed(h, tensors)
 
 
 GROUPS = (("forced", _forced), ("oracle", _oracle), ("moments", _moments), ("draws", _draws),
-          ("nll", _nll), ("training", _training))
+          ("nll", _nll), ("training", _training), ("shared", _shared))
+
+
+def _leaf_scales(layout: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each float value's scale: max(1e-8, the largest finite |value| of its
+    leaf), the leaves' sizes read off a dump's `layout`."""
+    sizes = np.array([math.prod(ast.literal_eval(line[1:]))
+                      for line in bytes(layout).decode().split("\n") if line.startswith("f")],
+                     dtype=np.int64)
+    leaf_max = np.zeros(len(sizes))
+    full = sizes > 0
+    if values.size:
+        mag = np.where(np.isfinite(values), np.abs(values), 0.0)
+        leaf_max[full] = np.maximum.reduceat(mag, (np.cumsum(sizes) - sizes)[full])
+    return np.maximum(1e-8, np.repeat(leaf_max, sizes))
 
 
 def compare(path_a: str, path_b: str, tol: float | None = None) -> int:
@@ -298,7 +349,8 @@ def compare(path_a: str, path_b: str, tol: float | None = None) -> int:
         if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
             status = 1
         differ = int(np.count_nonzero(x[finite].view(np.int64) != y[finite].view(np.int64)))
-        rel = np.abs(x[finite] - y[finite]) / np.maximum(1e-8, np.abs(y[finite]))
+        scale = _leaf_scales(b[f"{name}.layout"], y)
+        rel = np.abs(x[finite] - y[finite]) / scale[finite]
         worst = float(np.max(rel, initial=0.0))
         over = tol is not None and worst > tol
         print(f"{name:9s} values {x.size:8d}  differ {differ:7d}  "
