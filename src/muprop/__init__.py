@@ -28,7 +28,6 @@ from .numerics import as_tensor, log_mean_exp
 from .oracle import (
     EnumerationReport,
     empirical_moments,
-    enumerate_configs,
     estimator_expectation,
     exact_expected_cost_and_grad,
     finite_difference_check,
@@ -54,7 +53,6 @@ __all__ = [
     "build_sbn_variational",
     "build_structured_predictor",
     "empirical_moments",
-    "enumerate_configs",
     "estimate",
     "estimator_expectation",
     "evaluate_nll",

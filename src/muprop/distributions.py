@@ -5,10 +5,8 @@ log-density with respect to the logits, value - mean for both families),
 `mean_vjp` (the adjoint through the mean map), `half` (the rescaled-derivative
 logit adjoint), and the enumeration `support` / `support_size`, which depend
 only on the node's width and group width `k`. Every array a layer takes or
-returns is `[..., width]`: the node's 1-D shape after any leading row axes.
-The engine passes one row axis: one row per example, draw or configuration.
-Leading axes broadcast, so logits that do not depend on the rows (a first
-layer's, say) are held as one row against values with many. `log_prob`
+returns is `[..., width]`: the node's 1-D shape after any leading axes, which
+broadcast (the engine passes one row axis; see `graph` for rows). `log_prob`
 returns one value per row. `sample` turns each row of uniforms (`uniforms`
 per row, from the node's width and `k`) into that row's draw, so a pass of
 many rows draws them all at once. `CategoricalLayer` groups the last axis

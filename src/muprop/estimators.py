@@ -19,12 +19,10 @@ The three score-function estimators run one loop, `_score_estimate`, and
 differ only in their anchors: none (`lr`), one mean-field pass (`muprop`),
 or one pinned pass per layer (`muprop_rollout`).
 
-An estimate covers every row of its stochastic trace: one draw, a block of
-draws (a sequence of seeds, one per row), or the forced configurations of a
-block (`forced` values with a leading row axis). Its cost, log-probability
-and per-node diagnostics are per row, and its gradient is one sweep summed
-over the rows (kept per row with `per_row`). What the rows mean decides how
-they meet the baseline statistics:
+An estimate covers every row of its stochastic trace (see `graph` for
+rows), and its gradient is one sweep summed over them (kept per row with
+`per_row`). What the rows mean decides how they meet the baseline
+statistics:
 
 * Unweighted rows are successive draws. Row i is adjusted against the
   statistics rows 0..i-1 left behind, and with flag "idb" the net predicts
@@ -381,7 +379,7 @@ def lr_estimate(
                            per_row)
 
 
-def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool | str = True,
+def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True,
                     need=None):
     """Deterministic relaxation pass plus the adjoint sweep its readers need.
 
@@ -413,7 +411,7 @@ def muprop_estimate(
     forced=None,
     idb_input: np.ndarray | None = None,
     mf=None,
-    validate: bool | str = True,
+    validate: bool = True,
     weighted: bool = False,
     per_row: bool = False,
 ) -> GradientEstimate:
@@ -464,7 +462,7 @@ def muprop_rollout_estimate(
     flags=(),
     forced=None,
     idb_input: np.ndarray | None = None,
-    validate: bool | str = True,
+    validate: bool = True,
     weighted: bool = False,
     per_row: bool = False,
 ) -> GradientEstimate:
@@ -576,22 +574,19 @@ def estimate(
     forced=None,
     idb_input: np.ndarray | None = None,
     mf=None,
-    validate: bool | str = True,
+    validate: bool = True,
     weighted: bool = False,
     per_row: bool = False,
 ) -> GradientEstimate:
     """Run one estimator over one draw, a block of draws or a block of forced
-    rows, producing any forward passes it needs.
+    rows (see `graph` for rows), producing any forward passes it needs.
 
-    `rng_seed` is one seed (one draw) or a sequence of B seeds: B draws as
-    the rows of one pass, row i drawing what a one-row call with
-    `rng_seed=seeds[i]` draws; with a kept `baselines` state, the block
-    leaves it as those B calls made in order would. `weighted` weights each
-    row's estimate by its probability, and `per_row` keeps each row's
-    parameter gradients apart: `RowFactors` for affine weights, whose rows'
-    outer products are never formed here, and `[rows, *shape]` arrays for
-    every other parameter (see the module docstring).
-    `validate` goes to every pass it runs (see `forward`).
+    With a kept `baselines` state, a block of B seeds leaves it as B one-row
+    calls made in order would. `weighted` weights each row's estimate by its
+    probability, and `per_row` keeps each row's parameter gradients apart:
+    `RowFactors` for affine weights and `[rows, *shape]` arrays for every
+    other parameter (see the module docstring). `validate` goes to every
+    pass it runs (see `forward`).
     """
     name = config.name
     if name == "muprop":

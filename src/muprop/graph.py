@@ -8,11 +8,27 @@ input and parameter tensors. `forward` runs in one of two modes:
 * ``Mode.MEAN_FIELD`` propagates distribution means instead, producing a fully
   differentiable deterministic relaxation of the same network.
 
-Every value carries a leading row axis, `[rows, *node.shape]`, one row per
-example, draw or forced configuration. Parameters, one-row inputs and the
-nodes computed from them alone hold one row, which broadcasts against the
-rest; an input or `forced` value with a leading axis of B rows makes a pass
-of B rows, and so does a sequence of B seeds, one draw per row.
+Rows. Every value carries a leading row axis, `[rows, *node.shape]`, one
+row per example, draw or forced configuration; this is the one statement of
+that contract, which the rest of the package points to:
+
+* Parameters are bound in their nodes' shapes and hold one row, as do
+  one-row inputs and the nodes computed from them alone; one row broadcasts
+  against many.
+* A bound input or `forced` value is in its node's shape (one row) or
+  `[B, *node.shape]`, and a seed is one seed or a sequence of B. A pass has
+  the B they share; any other disagreement is a ValueError naming the node.
+* Row i computes what a one-row pass at row i of each rowed input and forced
+  value computes (to the order of BLAS's sums in a many-row product), and
+  draws what a one-row pass at `seeds[i]` draws, from its own stream
+  `rng.stream(seeds[i])`, node after node in topological order.
+* An adjoint has its node's rows. One flowing into a node with fewer rows is
+  summed over the rows, so a parameter's adjoint is the sum of every row's;
+  an affine weight's is `A.T @ X` at any row count. `backward(...,
+  per_row=True)` keeps the rows apart instead, an affine weight's as their
+  factors (`RowFactors`).
+* Per-row results (`Trace.logprob`, an estimate's cost, log-probability and
+  diagnostics) have one entry per row.
 
 Each op is described once, in the `_OPS` table (deterministic ops: shape rule,
 forward map, per-parent vjp) or the `_SAMPLERS` table (sampling ops: shape
@@ -24,10 +40,7 @@ nodes behave as gradient barriers exactly when the trace marks them as drawn
 (or forced); in mean-field traces they differentiate through the mean map.
 `backward(..., need=...)` computes only the adjoints on a differentiable path
 from the requested nodes (activity analysis), so a sweep whose reader looks
-at a few nodes skips the rest of the graph. An adjoint has its node's rows; one
-flowing into a parent with fewer rows is summed over the rows, so a
-parameter's adjoint is the sum of every row's (`per_row` keeps them apart,
-an affine weight's as the rows' factors, `RowFactors`).
+at a few nodes skips the rest of the graph.
 
 Graphs are append-only during construction and treated as immutable afterwards,
 so a built graph can be shared read-only across threads; the only state a
@@ -355,10 +368,7 @@ def _affine_vjp(node, values, a, j):
         return a @ values[w][0]
     if j == 2:
         return a
-    # the weight adjoint sums the rows' outer products; a single row's is
-    # np.outer itself, which keeps the sign of zero products (A.T @ X adds
-    # them to +0.0)
-    return (np.outer(a, values[x]) if len(a) == 1 else a.T @ values[x])[None]
+    return (a.T @ values[x])[None]  # the sum of the rows' outer products
 
 
 class RowFactors:
@@ -568,32 +578,19 @@ def forward(
     mode: Mode = Mode.STOCHASTIC,
     rng_seed=None,
     forced: dict[int, np.ndarray] | None = None,
-    validate: bool | str = True,
+    validate: bool = True,
 ) -> Trace:
-    """Evaluate every node; returns a Trace covering the whole graph.
+    """Evaluate every node; returns a Trace covering the whole graph. How
+    inputs, forced values and seeds give the pass its rows: see the module
+    docstring.
 
-    A pass has one row or B. Each bound input, and each `forced` value (an
-    outcome prescribed for a stochastic node, by id), is in its node's shape
-    (one row) or `[B, *node.shape]`: B examples or forced configurations.
-    Parameters are in their nodes' shapes. Forced nodes are treated exactly
-    like drawn samples: their log-probability is recorded per row in
-    STOCHASTIC mode and they block gradients in both modes.
-
-    `rng_seed` is needed only when some stochastic node is drawn: one seed
-    (one row) or a sequence of B seeds, where row i draws exactly what a
-    one-row pass at `seeds[i]` (and row i of each rowed input and forced
-    value) draws, from its own stream `rng.stream(seed)`, node after node in
-    topological order. Rowed inputs, forced values and seeds share their B,
-    in mean-field mode too: a one-row input or forced value broadcasts, and
-    any other disagreement raises a ValueError naming the node. With
-    `validate`, the first non-finite entry raises `NonFiniteError` naming its
-    node and row. `validate="computed"` checks only the values the pass
-    computes, for a caller that has checked the same bound inputs and
-    parameters in an earlier pass.
+    `forced` prescribes outcomes for stochastic nodes, by id. Forced nodes
+    are treated exactly like drawn samples: their log-probability is
+    recorded per row in STOCHASTIC mode and they block gradients in both
+    modes. `rng_seed` is needed only when some stochastic node is drawn.
+    With `validate`, the first non-finite entry of a bound or computed value
+    raises `NonFiniteError` naming its node and row.
     """
-    if isinstance(validate, str) and validate != "computed":
-        raise ValueError(f"validate must be True, False or 'computed', got {validate!r}")
-    check_bound = bool(validate) and not isinstance(validate, str)
     inputs = _rowed(graph, {**graph.constants, **(inputs or {})}, "input")
     params = _resolve(graph, params)
     forced = _rowed(graph, forced, "forced value for node")
@@ -627,6 +624,7 @@ def forward(
     with np.errstate(all="ignore"):
         for node in graph.nodes:
             k = node.kind
+            check = validate
             if k == Kind.INPUT or k == Kind.PARAMETER:
                 v = (inputs if k == Kind.INPUT else params).get(node.id)
                 if v is None:
@@ -636,10 +634,8 @@ def forward(
                         raise ValueError(
                             f"parameter {node.id}: bound shape {v.shape} != {node.shape}")
                     v = v[None]
-                check = check_bound
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)
-                check = validate
             elif k == Kind.STOCHASTIC:
                 # draws are 0/1, forced values are checked, and the mean of
                 # finite logits is finite: only bound values and ops overflow
@@ -695,17 +691,15 @@ def backward(
     need=None,
     per_row: bool = False,
 ) -> list:
-    """Reverse sweep from injected adjoints; returns the adjoint list.
+    """Reverse sweep from injected adjoints; returns the adjoint list, each
+    with its node's rows (see the module docstring).
 
     A seed is in its node's shape (the same seed for every row) or has a
-    leading row axis. Each adjoint has its node's rows, `[1 or rows, *shape]`;
-    a parameter's or input's is summed over the rows. With `per_row` no
-    adjoint is summed over rows: each keeps the rows it has, so a parameter's
-    adjoint holds one gradient per row, `[rows, *shape]`. An affine weight's
-    is kept as its factors (`RowFactors`): the rows of the adjoint at each
-    affine output it feeds, with the rows of that affine's input, so no
-    `[rows, m, n]` array is built. A weight that some other op also reads,
-    or that is itself computed, gets its rows' products formed.
+    leading row axis. With `per_row` no adjoint is summed over rows, so a
+    parameter's holds one gradient per row, `[rows, *shape]`, and an affine
+    weight's is kept as `RowFactors`: no `[rows, m, n]` array is built. A
+    weight that some other op also reads, or that is itself computed, gets
+    its rows' products formed.
 
     A stochastic node that is not a barrier passes its adjoint on through its
     layer's mean map. `stochastic_vjp(layer, value, adj) -> logit_adjoint`,

@@ -224,13 +224,10 @@ def evaluate_nll(
 
     An example takes ceil(S / m) rounds of the pass, where m is the number
     of values one pass yields (the structured predictor's m stacks, else 1),
-    and keeps its first S values. Round r of example i is one row, drawn
-    from seed `rng.fold(seed, i, r)`; every example x round runs as the rows
-    of one stochastic pass per block of consecutive rows, sized by
-    `oracle._block_rows` (a block's values hold at most
-    max(`oracle.BLOCK_ELEMENTS`, the graph's parameter entries) entries). A
-    row's values are those of a one-row pass at its example and seed, to the
-    order of BLAS's sums in a many-row product.
+    and keeps its first S values. Round r of example i is one row (see
+    `graph` for rows), drawn from seed `rng.fold(seed, i, r)`; every
+    example x round runs as the rows of one stochastic pass per block of
+    consecutive rows, sized by `oracle._block_rows`.
     """
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
     if n_samples < 1:

@@ -6,16 +6,14 @@ gives the exact expected cost, the exact gradient of the expected cost, and
 the exact expectation of any estimator, which is how unbiasedness claims are
 checked without appealing to sampling noise.
 
-The configurations are the rows of forced passes: `config_blocks` splits the
-joint support into blocks of consecutive configurations, sized by
-`_block_rows` so one pass holds at most max(`BLOCK_ELEMENTS`, P) value
-entries, P being the graph's parameter entries, and each oracle runs one
-forced pass (and one sweep) per block. `empirical_moments` runs its draws
-the same way, in blocks of the same size, as the rows of one stochastic
-pass per block: each row keeps its own gradients, an affine weight's as
-factors of a few value rows, so a row costs no more than in any other
-pass. Every row of every block is checked for non-finite values, and an
-error names the node and the configuration or draw.
+The configurations are the rows (see `graph`) of forced passes:
+`config_blocks` splits the joint support into blocks of consecutive
+configurations, sized by `_block_rows` so one pass holds at most
+max(`BLOCK_ELEMENTS`, P) value entries, P being the graph's parameter
+entries, and each oracle runs one forced pass (and one sweep) per block.
+`empirical_moments` runs its draws in blocks of the same size. Every block
+is checked for non-finite values, and an error names the node and the
+configuration or draw.
 """
 from __future__ import annotations
 
@@ -86,14 +84,6 @@ def _block_rows(graph: Graph) -> int:
 
 def _param_entries(graph: Graph) -> int:
     return sum(math.prod(graph.nodes[p].shape) for p in graph.param_ids)
-
-
-def enumerate_configs(graph: Graph):
-    """Yield every joint assignment {stochastic node id -> value}, configuration
-    by configuration: the rows of `config_blocks`."""
-    for _start, forced in config_blocks(graph):
-        for i in range(len(next(iter(forced.values())))):
-            yield {sid: forced[sid][i] for sid in graph.stochastic_ids}
 
 
 def config_count(graph: Graph) -> int:
@@ -235,22 +225,17 @@ def empirical_moments(
     """Mean and (population) variance of an estimator over `n_samples` draws.
 
     Draw i is the one-row draw at `rng.fold(seed, i)`. The draws run as the
-    rows of one `estimate` call per block of consecutive draws (its seeds,
-    one per row), sized by `_block_rows` as every blocked pass is. Every row
-    keeps its own gradients (`per_row`), an affine weight's as `RowFactors`,
-    whose outer products are formed a slice of the weight at a time as they
-    fold in: no block builds a `[rows, m, n]` array, and a call holds little
-    more than the mean and variance. Baseline state, if given, evolves across
-    the draws exactly as it would over one-draw calls: row i is adjusted
-    against the statistics draws 0..i-1 left behind, and the `idb` net
-    predicts and trains once per draw; without one, every draw sees fresh
-    statistics. Each block's mean and M2 fold into the running ones by Chan
-    et al.'s pairwise update, and the variance is the M2 divided in place.
-    Every block is checked for non-finite values, and the error names the
-    node and the draw; the bound inputs and parameters, the same in every
-    block, are checked in the first. `muprop`'s mean-field pass does not
-    depend on the draw, so it runs once. Returns (mean, variance, mean_cost)
-    with per-parameter arrays.
+    rows of one `estimate(..., per_row=True)` call per block of consecutive
+    draws, sized by `_block_rows`. An affine weight's per-row gradients stay
+    `RowFactors`, formed a slice of the weight at a time as they fold in, so
+    a call holds little more than the mean and variance. Baseline state, if
+    given, evolves across the draws exactly as it would over one-draw calls
+    (see `estimators`); without one, every draw sees fresh statistics. Each
+    block's mean and M2 fold into the running ones by Chan et al.'s pairwise
+    update, and the variance is the M2 divided in place. A non-finite value
+    names its node and draw. `muprop`'s mean-field pass does not depend on
+    the draw, so it runs once. Returns (mean, variance, mean_cost) with
+    per-parameter arrays.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -264,7 +249,6 @@ def empirical_moments(
         est = _located(
             lambda row: f"draw {start + row}", estimate, config, graph, cost, inputs, params,
             rng_seed=seeds, baselines=baselines, idb_input=idb_input, mf=mf, per_row=True,
-            validate=True if start == 0 else "computed",
         )
         for c in est.cost.tolist():
             cost_acc += c

@@ -74,15 +74,17 @@ class ExperimentConfig:
 
 
 def sgd_momentum_step(params: dict, grads: dict, velocity: dict, lr: float, momentum: float):
-    """v' = momentum v - lr g;  p' = p + v'. Mutates and returns (params, velocity)."""
+    """v' = momentum v - lr g;  p' = p + v'. Mutates and returns (params, velocity):
+    each velocity array is updated in place, and each parameter is a new array."""
     with np.errstate(all="ignore"):  # overflow is caught by the divergence check
         for key, g in grads.items():
+            p = np.asarray(params[key], dtype=np.float64)
             v = velocity.get(key)
             if v is None:
-                v = np.zeros_like(np.asarray(params[key], dtype=np.float64))
-            v = momentum * v - lr * g
-            velocity[key] = v
-            params[key] = np.asarray(params[key], dtype=np.float64) + v
+                v = velocity[key] = np.zeros_like(p)
+            v *= momentum
+            v -= lr * g
+            params[key] = p + v
     return params, velocity
 
 
@@ -98,12 +100,12 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     `path`, so an interrupted save leaves any earlier checkpoint intact.
     """
     entries = []
-    blobs = []
+    arrays = []
     offset = 0
     for key in sorted(tensors):
-        a = np.asarray(tensors[key], dtype=np.float64)
+        a = np.asarray(tensors[key])
         entries.append({"name": str(key), "shape": list(a.shape), "offset": offset, "count": a.size})
-        blobs.append(a.astype("<f8").tobytes())
+        arrays.append(a)
         offset += a.size
     manifest = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode()
     tmp = f"{os.fspath(path)}.tmp"
@@ -112,8 +114,8 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<I", len(manifest)))
             fh.write(manifest)
-            for b in blobs:
-                fh.write(b)
+            for a in arrays:  # a copy only where `a` is not C-ordered little-endian float64
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -291,17 +293,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             per_row=True,
                         )
                     cost_acc += est.cost.item()
-                    for pid, g in est.grads.items():
-                        if isinstance(g, RowFactors):  # the batch's rows, summed at the step
-                            acc[pid] = acc[pid] + g if pid in acc else g
-                        elif pid in acc:
-                            np.add(acc[pid], g[0], out=acc[pid])
-                        else:  # 0.0 + g (so -0.0 reads 0.0), into an array of our own
-                            acc[pid] = np.add(0.0, g[0], out=np.empty_like(g[0]))
+                    for pid, g in est.grads.items():  # factors join, summed at the step
+                        acc[pid] = acc[pid] + g if pid in acc else g
                     if est.node_diag:
                         sig_acc.append(float(np.mean([d["signal"] for d in est.node_diag.values()])))
                 scale = 1.0 / len(batch)
-                grads = {pid: (g.total() if isinstance(g, RowFactors) else g) * scale
+                grads = {pid: (g.total() if isinstance(g, RowFactors) else g[0]) * scale
                          for pid, g in acc.items()}
                 batch_cost = cost_acc * scale
                 gnorm = _grad_norm(grads)

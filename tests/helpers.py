@@ -15,6 +15,7 @@ import numpy as np
 
 import muprop
 from muprop import Graph, Mode, forward, gradients
+from muprop.oracle import config_blocks
 
 
 def child_env():
@@ -27,6 +28,14 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def config_rows(graph):
+    """Every joint configuration {stochastic node id: value}, one by one: the
+    rows of `config_blocks`, in order."""
+    for _start, forced in config_blocks(graph):
+        for i in range(len(forced[graph.stochastic_ids[0]])):
+            yield {sid: forced[sid][i] for sid in graph.stochastic_ids}
 
 
 def sig(z):

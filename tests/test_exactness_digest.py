@@ -1,5 +1,6 @@
 """`tools/exactness_digest.py --compare`: each value's error is measured
-against the largest |value| of its own leaf."""
+against the largest |value| of its own leaf, and values that differ only in
+the sign of zero are counted."""
 import importlib.util
 import os
 from pathlib import Path
@@ -49,3 +50,16 @@ def test_compare_measures_each_value_against_its_leaf(tmp_path):
     assert status(error) == 1
     # a leaf of one small value is its own scale
     assert status(variance, 4.1e-7 + 1e-15) == 1
+
+
+def test_compare_counts_values_that_differ_only_in_the_sign_of_zero(tmp_path, capsys):
+    tool = load_tool()
+    variance = np.array([[2.4, 0.0], [0.3, -1.2]])
+    ref = write_dump(tool, tmp_path / "ref.npz", variance, 4.1e-7)
+    flipped = variance.copy()
+    flipped[0, 1] = -0.0
+    new = write_dump(tool, tmp_path / "new.npz", flipped, 4.1e-7)
+    capsys.readouterr()
+    assert tool.compare(str(new), str(ref), tol=0.0) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("moments"))
+    assert "differ       1  sign-only       1  worst relative error 0.000e+00" in line

@@ -127,21 +127,6 @@ def test_non_finite_detection_toggle():
     assert np.isinf(tr.values[c])
 
 
-def test_validation_of_computed_values_only():
-    g = Graph()
-    x = g.input((2,), "x")
-    w = g.parameter((2,), "w")
-    c = g.cost(g.sum(g.mul(x, w)))
-    bad_w = {"w": np.array([1.0, np.inf])}
-    with pytest.raises(ValueError, match=f"node {w} in row 0"):
-        forward(g, {"x": np.zeros(2)}, bad_w, mode=Mode.MEAN_FIELD)
-    # the bound values are taken as checked; the first computed value is not
-    with pytest.raises(ValueError, match=f"node {c - 2} in row 0"):
-        forward(g, {"x": np.zeros(2)}, bad_w, mode=Mode.MEAN_FIELD, validate="computed")
-    with pytest.raises(ValueError, match="validate must be"):
-        forward(g, {"x": np.zeros(2)}, {"w": np.ones(2)}, mode=Mode.MEAN_FIELD, validate="all")
-
-
 def test_adjoints_match_finite_differences_on_random_graphs():
     for seed in range(8):
         g, cost, inputs, params = det_graph(seed)

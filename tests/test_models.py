@@ -15,7 +15,8 @@ from muprop import (
 )
 from muprop.models import ArchToken, parse_arch
 from muprop.numerics import softplus
-from muprop.oracle import enumerate_configs
+
+from helpers import config_rows
 
 
 def test_parse_arch():
@@ -155,7 +156,7 @@ def test_evaluate_nll_against_enumerated_likelihood():
     exact = 0.0
     for i in range(len(X)):
         total = 0.0
-        for cfg in enumerate_configs(g):
+        for cfg in config_rows(g):
             tr = forward(g, {"x": X[i], "y": Y[i]}, params, forced=cfg)
             p_h = math.exp(tr.logprob.item())
             total += p_h * math.exp(-tr.cost_value(cost_node))

@@ -31,7 +31,9 @@ from muprop import (
 from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
-from muprop.oracle import enumerate_configs, grad_relative_error, sample_family
+from muprop.oracle import grad_relative_error, sample_family
+
+from helpers import config_rows
 
 ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
 
@@ -81,7 +83,7 @@ def assert_same(got, want):
 def family_cases():
     for seed in (0, 1, 2, 5, 9):
         fam = sample_family(seed)
-        draws = [(None, cfg) for cfg in enumerate_configs(fam.graph)] + [(1000 + seed, None)]
+        draws = [(None, cfg) for cfg in config_rows(fam.graph)] + [(1000 + seed, None)]
         yield fam.graph, fam.cost, fam.inputs, fam.params, draws, fam.inputs["x"]
 
 
@@ -95,7 +97,7 @@ def preset_cases():
     for graph, cost, inputs in ((sop, sop.meta["cost"], sop_inputs),
                                 (sbn.graph, sbn.cost, sbn_inputs)):
         params = init_params(graph, seed=3)
-        draws = [(None, cfg) for cfg in enumerate_configs(graph)] + [(11, None), (12, None)]
+        draws = [(None, cfg) for cfg in config_rows(graph)] + [(11, None), (12, None)]
         yield graph, cost, inputs, params, draws, inputs["x"]
 
 
@@ -148,7 +150,7 @@ def test_muprop_expectation_reuses_one_mean_field_pass(monkeypatch):
     state = BaselineState(b={s: 0.5 for s in g.stochastic_ids})
     # reference: one independent muprop draw (own mean-field pass) per configuration
     want: dict = {}
-    for cfg in enumerate_configs(g):
+    for cfg in config_rows(g):
         prob = math.exp(forward(g, x, p, forced=cfg).logprob.item())
         est = estimate(config, g, c, x, p, None, baselines=copy.deepcopy(state),
                        forced=cfg, idb_input=x["x"])

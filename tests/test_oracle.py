@@ -10,7 +10,6 @@ from muprop import (
     EstimatorConfig,
     Graph,
     empirical_moments,
-    enumerate_configs,
     estimator_expectation,
     exact_expected_cost_and_grad,
     finite_difference_check,
@@ -23,6 +22,7 @@ from muprop.distributions import BernoulliLayer, CategoricalLayer
 from muprop.estimators import BaselineState, IdbNet
 from muprop.oracle import (
     MAX_CONFIGS,
+    config_blocks,
     config_count,
     grad_relative_error,
     make_chain,
@@ -30,7 +30,7 @@ from muprop.oracle import (
     sample_family,
 )
 
-from helpers import single_unit
+from helpers import config_rows, single_unit
 
 
 def two_unit_product():
@@ -58,7 +58,7 @@ def test_exact_expectation_hand_values():
 def test_configuration_probabilities_cover_the_support():
     g, _, _ = two_unit_product()
     assert config_count(g) == 4
-    configs = list(enumerate_configs(g))
+    configs = list(config_rows(g))
     assert len(configs) == 4
     seen = {tuple(cfg[g.stochastic_ids[0]]) for cfg in configs}
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -70,11 +70,11 @@ def test_enumeration_guard_rejects_oversized_supports():
     g.cost(g.sum(g.bernoulli(th)))
     assert config_count(g) == 2**17 > MAX_CONFIGS
     with pytest.raises(ValueError, match="limit"):
-        list(enumerate_configs(g))
+        list(config_blocks(g))
     det = Graph()
     det.cost(det.square(det.parameter((), "w")))
     with pytest.raises(ValueError, match="no stochastic"):
-        list(enumerate_configs(det))
+        list(config_blocks(det))
 
 
 def test_oversized_supports_are_counted_from_shapes(monkeypatch):
@@ -90,7 +90,7 @@ def test_oversized_supports_are_counted_from_shapes(monkeypatch):
         monkeypatch.setattr(cls, "support", staticmethod(built))
     assert config_count(g) == 2**64 * 3**10
     with pytest.raises(ValueError, match=f"{2**64 * 3**10} configurations"):
-        list(enumerate_configs(g))
+        list(config_blocks(g))
 
 
 def test_estimator_expectations_single_unit():
@@ -199,7 +199,7 @@ def test_exact_variances_single_unit_quadratic():
     params = {"th": np.zeros(())}
     for name, want in (("lr", 0.0625), ("muprop", 0.015625)):
         m1 = m2 = 0.0
-        for cfg in enumerate_configs(g):
+        for cfg in config_rows(g):
             tr = forward(g, params=params, forced=cfg)
             p = math.exp(tr.logprob.item())
             est = estimate(EstimatorConfig(name), g, c, None, params, None,
@@ -279,7 +279,7 @@ def per_configuration(graph, cost, inputs, params, config, state):
     from muprop import estimate, forward
 
     total = {}
-    for cfg in enumerate_configs(graph):
+    for cfg in config_rows(graph):
         p = np.exp(forward(graph, inputs, params, forced=cfg).logprob.item())
         est = estimate(config, graph, cost, inputs, params, None,
                        baselines=copy.deepcopy(state), forced=cfg, idb_input=inputs["x"])
@@ -299,7 +299,7 @@ def test_rowed_oracles_match_a_per_configuration_loop():
         want = per_configuration(g, c, x, p, EstimatorConfig("lr"), BaselineState())
         assert grad_relative_error(rep.grads, want) < 1e-12
         want_cost = sum(math.exp(t.logprob.item()) * t.cost_value(c)
-                        for t in (forward(g, x, p, forced=cfg) for cfg in enumerate_configs(g)))
+                        for t in (forward(g, x, p, forced=cfg) for cfg in config_rows(g)))
         assert relative_error(rep.expected_cost, want_cost) < 1e-12
         assert rep.config_count == config_count(g)
         for name in estimators_mod.ESTIMATORS:
@@ -325,7 +325,7 @@ def test_rows_follow_the_itertools_configuration_order():
                 supports.append([eye[list(idx)].reshape(node.shape) for idx in
                                  itertools.product(range(node.k), repeat=node.shape[0] // node.k)])
         want = list(itertools.product(*supports))
-        got = list(enumerate_configs(g))
+        got = list(config_rows(g))
         assert len(got) == len(want)
         for cfg, combo in zip(got, want):
             assert all(np.array_equal(cfg[s], v) for s, v in zip(g.stochastic_ids, combo))

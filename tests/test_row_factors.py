@@ -81,14 +81,17 @@ def draw_free_cost_case():
     return g, cost, {"x": r.uniform(-1.0, 1.0, 3)}, params
 
 
-def wide_case(arch):
-    if arch.startswith("392"):
+def preset_case(arch):
+    """A preset model (structured prediction, or a variational SBN for an
+    arch with an `x`) on one synthetic example."""
+    dims = arch.split("-")
+    if "x" not in arch:
         g = build_structured_predictor(arch)
-        X, Y = synthetic_multimodal(1, 392, 392, seed=7)
+        X, Y = synthetic_multimodal(1, int(dims[0]), int(dims[-1]), seed=7)
         inputs = {"x": X[0], "y": Y[0]}
     else:
         g = build_sbn_variational(arch).graph
-        inputs = {"x": synthetic_binary(1, 784, seed=7)[0]}
+        inputs = {"x": synthetic_binary(1, int(dims[-1]), seed=7)[0]}
     return g, g.meta["cost"], inputs, init_params(g, seed=8)
 
 
@@ -98,8 +101,8 @@ def cases():
         yield f"family{seed}", (fam.graph, fam.cost, fam.inputs, fam.params), ESTIMATORS
     yield "shared", shared_weight_case(), ESTIMATORS
     yield "draw-free", draw_free_cost_case(), ("lr", "muprop", "st")
-    yield "392-200-200-392", wide_case("392-200-200-392"), ("lr", "muprop")
-    yield "200x10-784", wide_case("200x10-784"), ("lr",)
+    yield "392-200-200-392", preset_case("392-200-200-392"), ("lr", "muprop")
+    yield "200x10-784", preset_case("200x10-784"), ("lr",)
 
 
 def dense_fold(blocks):
@@ -183,7 +186,7 @@ def test_factors_count_their_bytes_and_sum_their_rows():
     assert w.nbytes == 8 * (3 * 6 + 3 + 2 * 9)
     want = formed(w).sum(axis=0)
     assert np.max(np.abs(w.total() - want)) <= 1e-14 * np.max(np.abs(want))
-    graph, cost, inputs, params = wide_case("200x10-784")
+    graph, cost, inputs, params = preset_case("200x10-784")
     est = estimate(EstimatorConfig("lr"), graph, cost, inputs, params, rng_seed=3, per_row=True)
     factored = [g for g in est.grads.values() if isinstance(g, RowFactors)]
     assert len(factored) == 2
@@ -194,10 +197,28 @@ def test_factors_count_their_bytes_and_sum_their_rows():
         assert np.array_equal(g.total(), np.outer(a, x) + 0.0)
 
 
+@pytest.mark.parametrize("arch", ["8-4-8", "200x10-784"])
+def test_one_row_weight_gradient_is_the_total_of_its_factors(arch):
+    """A one-row sweep sums an affine weight's rows by the product `A.T @ X`
+    that `RowFactors.total` forms, so the two agree bit for bit, signs of
+    zero included."""
+    graph, cost, inputs, params = preset_case(arch)
+    weights = {n.parents[1] for n in graph.nodes if n.op == "affine"}
+    for name in ESTIMATORS:
+        config = EstimatorConfig(name)
+        dense = estimate(config, graph, cost, inputs, params, rng_seed=4).grads
+        factored = estimate(config, graph, cost, inputs, params, rng_seed=4, per_row=True).grads
+        for w in weights:
+            assert isinstance(factored[w], RowFactors), (arch, name, w)
+            total = factored[w].total()
+            assert dense[w].shape == total.shape, (arch, name, w)
+            assert dense[w].tobytes() == total.tobytes(), (arch, name, w)
+
+
 def test_moments_of_a_wide_model_hold_little_more_than_its_mean_and_variance():
     """One 10-draw moments call at 200x10-784 keeps its mean and M2 (two
     arrays of P entries) and no per-row weight gradients."""
-    graph, cost, inputs, params = wide_case("200x10-784")
+    graph, cost, inputs, params = preset_case("200x10-784")
     entries = sum(v.size for v in params.values())
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 """Optimizer, checkpoints, metrics files, and the experiment loop."""
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from muprop import training
 from muprop.estimators import ESTIMATORS, SCORE_ESTIMATORS
 from muprop.rng import fold, stream
 from muprop.training import (
+    CKPT_MAGIC,
     METRIC_FIELDS,
     MetricsWriter,
     pick_best,
@@ -47,13 +49,17 @@ def small_config(out_dir, **kw):
 
 
 def test_sgd_momentum_hand_values():
-    params = {"w": np.zeros(())}
+    w = np.zeros(())
+    params = {"w": w}
     vel = {}
     sgd_momentum_step(params, {"w": np.ones(())}, vel, lr=0.1, momentum=0.9)
     assert vel["w"] == pytest.approx(-0.1) and params["w"] == pytest.approx(-0.1)
+    v = vel["w"]
     sgd_momentum_step(params, {"w": np.ones(())}, vel, lr=0.1, momentum=0.9)
+    assert vel["w"] is v and v == 0.9 * -0.1 - 0.1 * 1.0  # in place, same roundings
     assert vel["w"] == pytest.approx(-0.19)
     assert params["w"] == pytest.approx(-0.29)
+    assert w == 0.0  # the caller's parameter array is never written
 
 
 def test_config_round_trip_rejects_unknown_keys():
@@ -79,6 +85,30 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded[k].shape == tensors[k].shape
         assert np.array_equal(loaded[k], tensors[k])
     assert loaded["scalar"].shape == ()
+
+
+def test_checkpoint_bytes_are_each_tensor_as_little_endian_float64(tmp_path):
+    """Whatever a tensor's dtype, byte order or strides, the file holds its
+    values as C-ordered little-endian float64, and a 0-d tensor's shape is
+    recorded as `()`: the bytes built by hand below."""
+    tensors = {
+        "f32": np.array([[1.5, -2.25], [3.0, 0.1]], dtype=np.float32),
+        "big": np.array([1.0, -0.0, 7.5e300], dtype=">f8"),
+        "strided": np.arange(12.0).reshape(3, 4)[:, ::2].T,
+        "scalar": np.array(-3.25),
+    }
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tensors, meta={"step": 3})
+    entries, blobs, offset = [], [], 0
+    for key in sorted(tensors):
+        a = np.asarray(tensors[key], dtype=np.float64)
+        entries.append({"name": key, "shape": list(a.shape), "offset": offset, "count": a.size})
+        blobs.append(a.astype("<f8").tobytes())
+        offset += a.size
+    manifest = json.dumps({"tensors": entries, "meta": {"step": 3}}, sort_keys=True).encode()
+    want = CKPT_MAGIC + struct.pack("<I", len(manifest)) + manifest + b"".join(blobs)
+    assert path.read_bytes() == want
+    assert load_checkpoint(path)[0]["scalar"].shape == ()
 
 
 def test_checkpoint_corruption_detection(tmp_path):

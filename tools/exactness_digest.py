@@ -9,8 +9,9 @@ running this tool on the tree before and after it:
 
 A change that may reassociate floating-point sums in some group is checked
 by dumping every hashed value and comparing the dumps; `--compare` prints,
-per group, the count of float values whose bits differ and the worst
-relative error max |a - b| / max(1e-8, max |leaf|), each value measured
+per group, the count of float values whose bits differ, how many of those
+compare equal as floats (differ only as +0.0 vs -0.0: `sign-only`), and the
+worst relative error max |a - b| / max(1e-8, max |leaf|), each value measured
 against the largest finite |value| of its own array (leaf) in the second
 dump, so a tiny entry beside large ones is held to the leaf's scale; with
 `--tol REL` it also exits 1 when some group's worst relative error exceeds
@@ -157,14 +158,19 @@ def _estimate_record(est) -> dict:
 
 
 def _forced(mp, h) -> None:
-    from muprop.oracle import enumerate_configs, sample_family
+    from muprop.oracle import config_blocks, sample_family
 
     for seed in range(10):
         fam = sample_family(seed)
+        sids = fam.graph.stochastic_ids
+        # one configuration at a time: the rows of the enumeration's blocks
+        configs = [{sid: block[sid][i] for sid in sids}
+                   for _start, block in config_blocks(fam.graph)
+                   for i in range(len(block[sids[0]]))]
         for name in ESTIMATORS:
             for flags in (((), ("c",), ("c", "idb")) if name in SCORE else ((),)):
                 cfg = mp.EstimatorConfig(name, flags=flags)
-                for forced in enumerate_configs(fam.graph):
+                for forced in configs:
                     est = mp.estimate(cfg, fam.graph, fam.cost, fam.inputs, fam.params,
                                       rng_seed=None, baselines=mp.BaselineState(seed=seed),
                                       forced=forced, idb_input=fam.inputs["x"])
@@ -348,12 +354,15 @@ def compare(path_a: str, path_b: str, tol: float | None = None) -> int:
         finite = np.isfinite(x) & np.isfinite(y)
         if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
             status = 1
-        differ = int(np.count_nonzero(x[finite].view(np.int64) != y[finite].view(np.int64)))
+        xf, yf = x[finite], y[finite]
+        bits = xf.view(np.int64) != yf.view(np.int64)
+        differ = int(np.count_nonzero(bits))
+        sign_only = int(np.count_nonzero(bits & (xf == yf)))  # +0.0 vs -0.0
         scale = _leaf_scales(b[f"{name}.layout"], y)
-        rel = np.abs(x[finite] - y[finite]) / scale[finite]
+        rel = np.abs(xf - yf) / scale[finite]
         worst = float(np.max(rel, initial=0.0))
         over = tol is not None and worst > tol
-        print(f"{name:9s} values {x.size:8d}  differ {differ:7d}  "
+        print(f"{name:9s} values {x.size:8d}  differ {differ:7d}  sign-only {sign_only:7d}  "
               f"worst relative error {worst:.3e}" + (f"  above {tol:g}" if over else ""))
         if over:
             status = 1
