@@ -74,12 +74,10 @@ def cmd_verify(args) -> int:
     for i in range(args.graphs):
         fam = sample_family(args.seed + i)
         exact = exact_expected_cost_and_grad(fam.graph, fam.cost, fam.inputs, fam.params)
-        for name in SCORE_ESTIMATORS:
+        for name in ESTIMATORS:  # unbiased ones into `worst`, biased ones into `bias`
             got = estimator_expectation(EstimatorConfig(name), fam.graph, fam.cost, fam.inputs, fam.params)
-            worst[name] = max(worst[name], grad_relative_error(got, exact.grads))
-        for name in bias:
-            got = estimator_expectation(EstimatorConfig(name), fam.graph, fam.cost, fam.inputs, fam.params)
-            bias[name] = max(bias[name], grad_relative_error(got, exact.grads))
+            errors = worst if name in worst else bias
+            errors[name] = max(errors[name], grad_relative_error(got, exact.grads))
         if i < args.fd_graphs:
             fd_worst = max(fd_worst, finite_difference_check(fam.graph, fam.cost, fam.inputs, fam.params))
 

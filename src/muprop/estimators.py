@@ -16,8 +16,11 @@ parameter set. Four families are implemented:
   probability; exact on single-unit binary quadratics, biased in general.
 
 The three score-function estimators run one loop, `_score_estimate`, and
-differ only in their anchors: none (`lr`), one mean-field pass (`muprop`),
-or one pinned pass per layer (`muprop_rollout`).
+differ only in their anchors: none (`lr`), or the Taylor anchors of one
+anchor loop, `_taylor_estimate`, which anchors the first group of stochastic
+nodes at the mean-field pass and each later group at a mean pass pinned to
+the samples above it. `muprop` is its one-group case; `muprop_rollout` has
+one group per stochastic layer.
 
 An estimate covers every row of its stochastic trace (see `graph` for
 rows), and its gradient is one sweep summed over them (kept per row with
@@ -59,9 +62,11 @@ ESTIMATORS = ("lr", "muprop", "muprop_rollout", "st", "half")
 SCORE_ESTIMATORS = ("lr", "muprop", "muprop_rollout")
 # `half` clamps outcome probabilities below at this value
 HALF_CLAMP = 1e-12
-# moving-average decay of the baseline statistics, and the idb net's step size
+# moving-average decay of the baseline statistics, and the idb net's step
+# size and hidden width
 BASELINE_DECAY = 0.9
 IDB_LR = 0.01
+IDB_HIDDEN = 100
 
 
 # -- variance-reduction state --------------------------------------------------
@@ -107,10 +112,10 @@ class BaselineState:
     `b` tracks the moving mean of each node's raw signal, `v` the moving mean
     of the centered signal's square. Both update after each use with decay
     `BASELINE_DECAY`; a fresh state divides by max(1, sqrt(0)) = 1. The
-    estimators train `idb` once per draw, at learning rate `IDB_LR`.
+    estimators train `idb` (`IDB_HIDDEN` wide) once per draw, at learning
+    rate `IDB_LR`.
     """
 
-    idb_hidden: int = 100
     seed: int = 0
     b: dict[int, float] = field(default_factory=dict)
     v: dict[int, float] = field(default_factory=dict)
@@ -118,7 +123,7 @@ class BaselineState:
 
     def ensure_idb(self, in_dim: int) -> IdbNet:
         if self.idb is None:
-            self.idb = IdbNet(in_dim, self.idb_hidden, self.seed)
+            self.idb = IdbNet(in_dim, IDB_HIDDEN, self.seed)
         return self.idb
 
 
@@ -271,7 +276,7 @@ def _adjusted_signals(signals: dict, state: BaselineState, flags, idb_input, nod
                 for sid, sig in signals.items()}
     x = np.asarray(idb_input, dtype=np.float64).ravel()
     if not update:
-        net = state.idb if state.idb is not None else IdbNet(x.size, state.idb_hidden, state.seed)
+        net = state.idb if state.idb is not None else IdbNet(x.size, IDB_HIDDEN, state.seed)
         pred = net.value(x)
         return {sid: apply_baselines(sig, sid, state, flags, pred, node_diag[sid], update=False)
                 for sid, sig in signals.items()}
@@ -400,6 +405,38 @@ def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True,
     return trace, adj
 
 
+def _taylor_estimate(graph: Graph, cost, inputs, params, rng_seed, anchor_groups,
+                     baselines, flags, forced, idb_input, validate, weighted,
+                     per_row) -> GradientEstimate:
+    """The anchor loop of `muprop` and `muprop_rollout`: one stochastic
+    pass, then one anchor pass per group of stochastic nodes, each run only
+    when its group is reached, over the same rows as the stochastic pass.
+    The first group's anchor pins nothing: the mean-field pass. Each later
+    group's is a mean pass whose trunk is pinned to the sampled values of
+    every earlier group."""
+    cost = graph.node_id(cost)
+    st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
+                       forced=forced, validate=validate)
+
+    def groups():
+        pinned: dict[int, np.ndarray] = {}
+        for group in anchor_groups:
+            if pinned:
+                branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD,
+                                 forced=dict(pinned), validate=validate)
+                adj = backward(graph, branch, {cost: np.ones(())}, need=group)
+            else:
+                branch, adj = mean_field_pass(graph, cost, inputs, params, validate, need=group)
+            yield group, (branch.values, adj, branch.values[cost])
+            for sid in group:
+                pinned[sid] = st_trace.values[sid]
+
+    return _score_estimate(
+        graph, st_trace, cost, groups(), baselines, flags, idb_input, weighted, per_row,
+        mean_field_passes=len(anchor_groups), stochastic_passes=1,
+    )
+
+
 def muprop_estimate(
     graph: Graph,
     cost,
@@ -410,33 +447,22 @@ def muprop_estimate(
     flags=(),
     forced=None,
     idb_input: np.ndarray | None = None,
-    mf=None,
     validate: bool = True,
     weighted: bool = False,
     per_row: bool = False,
 ) -> GradientEstimate:
     """Taylor-anchored unbiased estimator around one mean-propagation trunk.
 
-    Runs one deterministic relaxation pass (reused if `mf` is supplied) and one
-    stochastic pass, then backpropagates a surrogate whose gradient is
+    The one-group case of `_taylor_estimate`: one stochastic pass and one
+    mean-field pass, then a sweep of the surrogate whose gradient is
 
         sum_i dlogp_i * [f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i)]
             + sum_i d(mu_i)^T f'(xbar_i)  +  direct cost paths.
     """
-    cost = graph.node_id(cost)
-    mf_passes = 0
-    if mf is None:
-        mf = mean_field_pass(graph, cost, inputs, params, validate=validate)
-        mf_passes = 1
-    mf_trace, mf_adj = mf
-    st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
-                       forced=forced, validate=validate)
-    mf_cost = mf_trace.values[cost]
-    groups = [(graph.stochastic_ids, (mf_trace.values, mf_adj, mf_cost))]
-    return _score_estimate(
-        graph, st_trace, cost, groups, baselines, flags, idb_input, weighted, per_row,
-        mean_field_passes=mf_passes, stochastic_passes=1, extra={"mean_field_cost": mf_cost},
-    )
+    est = _taylor_estimate(graph, cost, inputs, params, rng_seed, [graph.stochastic_ids],
+                           baselines, flags, forced, idb_input, validate, weighted, per_row)
+    est.extra["mean_field_cost"] = est.node_diag[graph.stochastic_ids[0]]["anchor_cost"]
+    return est
 
 
 def stochastic_layers(graph: Graph) -> list[list[int]]:
@@ -468,36 +494,12 @@ def muprop_rollout_estimate(
 ) -> GradientEstimate:
     """Taylor-anchored estimator with per-layer re-anchoring.
 
-    The anchor for layer L comes from a partial deterministic pass whose trunk
-    is pinned to the sampled values of all earlier layers, so each layer is
-    linearized around the mean given its actual sampled parents. One partial
-    pass per layer, run only when its layer is reached, over the same rows as
-    the stochastic pass; identical to `muprop_estimate` on single-layer graphs.
+    `_taylor_estimate` with one group per stochastic layer: each layer is
+    linearized around the mean given its actual sampled parents. Identical
+    to `muprop_estimate` on single-layer graphs.
     """
-    cost = graph.node_id(cost)
-    layer_groups = stochastic_layers(graph)
-    if not layer_groups:
-        raise ValueError("graph has no stochastic nodes")
-    st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
-                       forced=forced, validate=validate)
-
-    def groups():
-        pinned: dict[int, np.ndarray] = {}
-        for group in layer_groups:
-            if pinned:
-                branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD,
-                                 forced=dict(pinned), validate=validate)
-                adj = backward(graph, branch, {cost: np.ones(())}, need=group)
-            else:  # the first layer's anchor pins nothing: the mean-field pass
-                branch, adj = mean_field_pass(graph, cost, inputs, params, validate, need=group)
-            yield group, (branch.values, adj, branch.values[cost])
-            for sid in group:
-                pinned[sid] = st_trace.values[sid]
-
-    return _score_estimate(
-        graph, st_trace, cost, groups(), baselines, flags, idb_input, weighted, per_row,
-        mean_field_passes=len(layer_groups), stochastic_passes=1,
-    )
+    return _taylor_estimate(graph, cost, inputs, params, rng_seed, stochastic_layers(graph),
+                            baselines, flags, forced, idb_input, validate, weighted, per_row)
 
 
 def st_estimate(graph: Graph, trace: Trace, cost, weighted: bool = False,
@@ -573,7 +575,6 @@ def estimate(
     baselines: BaselineState | None = None,
     forced=None,
     idb_input: np.ndarray | None = None,
-    mf=None,
     validate: bool = True,
     weighted: bool = False,
     per_row: bool = False,
@@ -589,18 +590,10 @@ def estimate(
     pass it runs (see `forward`).
     """
     name = config.name
-    if name == "muprop":
-        return muprop_estimate(
-            graph, cost, inputs, params, rng_seed, baselines, config.flags,
-            forced=forced, idb_input=idb_input, mf=mf, validate=validate, weighted=weighted,
-            per_row=per_row,
-        )
-    if name == "muprop_rollout":
-        return muprop_rollout_estimate(
-            graph, cost, inputs, params, rng_seed, baselines, config.flags,
-            forced=forced, idb_input=idb_input, validate=validate, weighted=weighted,
-            per_row=per_row,
-        )
+    if name in ("muprop", "muprop_rollout"):
+        taylor = muprop_estimate if name == "muprop" else muprop_rollout_estimate
+        return taylor(graph, cost, inputs, params, rng_seed, baselines, config.flags, forced,
+                      idb_input, validate, weighted, per_row)
     trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                     forced=forced, validate=validate)
     if name == "lr":

@@ -3,7 +3,10 @@
 Architectures are given as strings like "392-200-200-392" (dims separated by
 dashes). A hidden token "200x10" means 200 categorical units over 10 choices;
 plain hidden tokens are Bernoulli layers. Builders return graphs whose `meta`
-records the input/target/cost handles the training loop needs.
+holds the `task` ("structured_prediction" or "variational"), the `cost` node
+and one more handle: the structured predictor's `logp_nodes` (each stack's
+log p(y | h), which `evaluate_nll` reads) or the variational model's
+`bound_node` (the bound, minus the cost).
 """
 from __future__ import annotations
 
@@ -102,13 +105,7 @@ def build_structured_predictor(arch: str, m: int = 1) -> Graph:
     stack = g.concat(*logps)
     lse = g.sum(g.logsumexp(stack, k=m))
     cost = g.cost(g.sub(g.constant(math.log(m), "log_m"), lse))
-    g.meta.update(
-        task="structured_prediction",
-        input="x",
-        target="y",
-        cost=cost,
-        logp_nodes=tuple(logps),
-    )
+    g.meta.update(task="structured_prediction", cost=cost, logp_nodes=tuple(logps))
     return g
 
 
@@ -183,7 +180,7 @@ def build_sbn_variational(arch: str) -> VariationalModel:
         total_p = g.add(total_p, t)
     bound = g.sub(total_p, total_q)
     cost = g.cost(g.sub(total_q, total_p))
-    g.meta.update(task="variational", input="x", cost=cost, bound_node=bound)
+    g.meta.update(task="variational", cost=cost, bound_node=bound)
     return VariationalModel(
         graph=g,
         cost=cost,

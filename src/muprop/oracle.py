@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .estimators import BaselineState, EstimatorConfig, estimate, mean_field_pass
+from .estimators import BaselineState, EstimatorConfig, estimate
 from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forward
 from .numerics import as_tensor
 
@@ -172,36 +172,26 @@ def estimator_expectation(
     Baseline statistics are read, never written: every row is adjusted
     against the given statistics (and the `idb` net's prediction from the
     given net), so the expectation is of a single draw from the given state,
-    and `baselines` is left as it was. Variance
-    normalization makes the estimate nonlinear in the signal and has no
-    single-draw expectation to report, so "vn" is rejected. `muprop`'s
-    mean-field pass does not depend on the configuration, so it runs once
-    and every block reuses it.
+    and `baselines` is left as it was. Variance normalization makes the
+    estimate nonlinear in the signal and has no single-draw expectation to
+    report, so "vn" is rejected. Each block runs its own anchor passes
+    (`muprop`'s mean-field pass, `muprop_rollout`'s per-layer passes).
     """
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
     idb_input = _default_idb_input(graph, inputs)
-    mf = _shared_mean_field(config, graph, cost, inputs, params)
     total: dict[int, np.ndarray] = {}
     total_p = 0.0
     for start, forced in config_blocks(graph):
         est = _on_block(
             start, estimate, config, graph, cost, inputs, params, rng_seed=None,
-            baselines=baselines, forced=forced, idb_input=idb_input, mf=mf, weighted=True,
+            baselines=baselines, forced=forced, idb_input=idb_input, weighted=True,
         )
         total_p += float(np.sum(np.exp(est.logprob)))
         for w, g in est.grads.items():
             total[w] = total[w] + g if w in total else g
     _check_total(total_p)
     return {w: as_tensor(g) for w, g in total.items()}
-
-
-def _shared_mean_field(config: EstimatorConfig, graph: Graph, cost, inputs, params):
-    """`muprop`'s mean-field pass, which no row depends on, so one call's
-    blocks share it; None for the other estimators."""
-    if config.name != "muprop":
-        return None
-    return _located(None, mean_field_pass, graph, cost, inputs, params)
 
 
 def _default_idb_input(graph: Graph, inputs) -> np.ndarray | None:
@@ -233,14 +223,12 @@ def empirical_moments(
     (see `estimators`); without one, every draw sees fresh statistics. Each
     block's mean and M2 fold into the running ones by Chan et al.'s pairwise
     update, and the variance is the M2 divided in place. A non-finite value
-    names its node and draw. `muprop`'s mean-field pass does not depend on
-    the draw, so it runs once. Returns (mean, variance, mean_cost) with
-    per-parameter arrays.
+    names its node and draw. Each block runs its own anchor passes. Returns
+    (mean, variance, mean_cost) with per-parameter arrays.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     idb_input = _default_idb_input(graph, inputs)
-    mf = _shared_mean_field(config, graph, cost, inputs, params)
     rows = _block_rows(graph)
     moments = _Moments()
     cost_acc = 0.0
@@ -248,7 +236,7 @@ def empirical_moments(
         seeds = _rng.fold(seed, np.arange(start, min(start + rows, n_samples)))
         est = _located(
             lambda row: f"draw {start + row}", estimate, config, graph, cost, inputs, params,
-            rng_seed=seeds, baselines=baselines, idb_input=idb_input, mf=mf, per_row=True,
+            rng_seed=seeds, baselines=baselines, idb_input=idb_input, per_row=True,
         )
         for c in est.cost.tolist():
             cost_acc += c

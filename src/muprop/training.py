@@ -258,7 +258,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
         step = 0
         diverged = False
-        best = (math.inf, -1)
         nll0 = eval_now(_rng.fold(cfg.seed, 41, 0))
         writer.row(step=0, epoch=0, train_cost=None, eval_nll=nll0, grad_norm=None, signal_var=None, diverged=False)
         best = (nll0, 0)
@@ -354,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "diverged": diverged,
         "initial_eval_nll": nll0,
         "final_eval_nll": final_nll,
-        "best_eval_nll": best[0] if best[1] >= 0 else None,
+        "best_eval_nll": best[0],
         "best_step": best[1],
         "train_seconds": round(time.perf_counter() - t_start, 3),
         "out_dir": cfg.out_dir,

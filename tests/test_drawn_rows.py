@@ -179,8 +179,7 @@ def test_moments_run_one_stochastic_pass_per_block(name, monkeypatch):
     empirical_moments(config, fam.graph, fam.cost, fam.inputs, fam.params, n_samples=100,
                       seed=1, baselines=BaselineState())
     assert calls.count(Mode.STOCHASTIC) == blocks
-    per_block = layers if name == "muprop_rollout" else 0
-    assert calls.count(Mode.MEAN_FIELD) == (name == "muprop") + blocks * per_block
+    assert calls.count(Mode.MEAN_FIELD) == blocks * mean_field
 
 
 def overflowing_unit():
@@ -201,8 +200,7 @@ def test_moments_name_the_draw_that_overflows(name, seed):
     first = next(i for i in range(64) if forward(g, params=params, rng_seed=fold(seed, i),
                                                 validate=False).values[sid][0, 0] == 1.0)
     assert first > 0  # the first draw is finite; a later one is not
-    where = "the mean-field pass" if name == "muprop" else f"draw {first}"
-    with pytest.raises(ValueError, match=f"non-finite value produced at node 4 in {where}$"):
+    with pytest.raises(ValueError, match=f"non-finite value produced at node 4 in draw {first}$"):
         empirical_moments(EstimatorConfig(name), g, cost, params=params,
                           n_samples=64, seed=seed)
 

@@ -16,13 +16,13 @@ from muprop import (
     idb_update,
     init_params,
     lr_estimate,
-    mean_field_pass,
     muprop_estimate,
     muprop_rollout_estimate,
     st_estimate,
     stochastic_layers,
 )
 from muprop import distributions
+from muprop import estimators as estimators_mod
 from muprop.estimators import ESTIMATORS, SCORE_ESTIMATORS, IdbNet
 from muprop.rng import stream
 
@@ -117,6 +117,15 @@ def test_estimators_reject_mean_field_traces_and_pure_det_graphs():
         lr_estimate(det, trd, cd)
 
 
+def test_taylor_estimators_reject_pure_det_graphs():
+    det = Graph()
+    w = det.parameter((), "w")
+    cd = det.cost(det.square(w))
+    for fn in (muprop_estimate, muprop_rollout_estimate):
+        with pytest.raises(ValueError, match="graph has no stochastic nodes"):
+            fn(det, cd, None, {"w": 2.0}, 0)
+
+
 def test_baseline_arithmetic_updates_after_use():
     st = BaselineState()
     # first use sees the raw signal, stats update afterwards
@@ -151,7 +160,7 @@ def test_baseline_flag_validation_and_diagnostics():
 
 
 def test_input_dependent_baseline_regresses_to_signal():
-    st = BaselineState(idb_hidden=16, seed=3)
+    st = BaselineState(seed=3)
     x = np.array([1.0, -0.5, 0.25])
     target = 2.0
     first = abs(st.ensure_idb(3).value(x) - target)
@@ -175,7 +184,7 @@ def test_idb_subtraction_uses_shared_net():
     st = BaselineState()
     assert apply_baselines(5.0, 0, st, {"idb"}, idb_pred=1.25) == 5.0 - 1.25
     g, xy, params = two_layer_predictor()
-    st = BaselineState(idb_hidden=8, seed=1)
+    st = BaselineState(seed=1)
     pred = st.ensure_idb(8).value(xy["x"])
     est = estimate(EstimatorConfig("lr", flags={"idb"}), g, g.meta["cost"], xy, params, 3,
                    baselines=st, idb_input=xy["x"])
@@ -250,16 +259,6 @@ def test_rollout_pass_counts_and_depth_anchoring():
     assert any(not np.allclose(est.grads[p], plain.grads[p]) for p in est.grads)
 
 
-def test_cached_anchor_pass_reuse():
-    g, th, c = single_unit()
-    params = {"th": np.asarray(0.3)}
-    mf = mean_field_pass(g, c, None, params)
-    cached = muprop_estimate(g, c, None, params, 11, mf=mf)
-    fresh = muprop_estimate(g, c, None, params, 11)
-    assert cached.mean_field_passes == 0 and fresh.mean_field_passes == 1
-    assert cached.grads[th] == pytest.approx(fresh.grads[th], abs=0)
-
-
 def test_dispatcher_configs():
     with pytest.raises(ValueError, match="unknown estimator"):
         EstimatorConfig("reinforce")
@@ -284,6 +283,20 @@ def test_dispatcher_matches_direct_calls():
     direct = muprop_estimate(g, c, None, params, 7, baselines=BaselineState(),
                              flags={"c"})
     assert via.grads[th] == pytest.approx(direct.grads[th], abs=0)
+
+
+@pytest.mark.parametrize("name", ["muprop", "muprop_rollout"])
+def test_dispatcher_looks_up_taylor_estimators_at_call_time(name, monkeypatch):
+    """A patched module attribute is what `estimate` runs."""
+    g, _th, c = single_unit()
+    params = {"th": np.asarray(0.1)}
+    attr = f"{name}_estimate"
+    real = getattr(estimators_mod, attr)
+    calls = []
+    monkeypatch.setattr(estimators_mod, attr,
+                        lambda *a, **k: calls.append(name) or real(*a, **k))
+    estimate(EstimatorConfig(name), g, c, None, params, 4)
+    assert calls == [name]
 
 
 def test_baselines_shift_only_the_score_term():

@@ -19,7 +19,7 @@ from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
 from muprop.distributions import BernoulliLayer, CategoricalLayer
-from muprop.estimators import BaselineState, IdbNet
+from muprop.estimators import IDB_HIDDEN, BaselineState, IdbNet
 from muprop.oracle import (
     MAX_CONFIGS,
     config_blocks,
@@ -133,7 +133,7 @@ def test_moments_train_the_input_dependent_baseline():
     bl = BaselineState(seed=5)
     empirical_moments(config, fam.graph, fam.cost, fam.inputs, fam.params,
                       n_samples=5, seed=0, baselines=bl)
-    untrained = IdbNet(fam.inputs["x"].size, bl.idb_hidden, bl.seed)
+    untrained = IdbNet(fam.inputs["x"].size, IDB_HIDDEN, bl.seed)
     assert not np.array_equal(bl.idb.w1, untrained.w1)
     # while an expectation trains only its per-configuration copies
     trained = bl.idb.w1.copy()
@@ -153,7 +153,7 @@ def test_variance_normalization_has_no_expectation():
                                          ("muprop", 2), ("muprop_rollout", 3)])
 def test_estimator_expectation_runs_one_forced_pass_per_block(name, passes, monkeypatch):
     """64 configurations in one block: one forced pass of 64 rows, plus muprop's
-    shared mean-field pass, or rollout's two per-layer anchor passes."""
+    mean-field pass, or rollout's two per-layer anchor passes."""
     fam = sample_family(9)
     assert config_count(fam.graph) == 64 and len(stochastic_layers(fam.graph)) == 2
     calls = []
@@ -379,9 +379,7 @@ def test_a_non_finite_configuration_is_named():
     with pytest.raises(ValueError, match="node 4 in configuration 1"):
         exact_expected_cost_and_grad(g, c, params=params)
     for name in estimators_mod.ESTIMATORS:
-        # muprop's shared mean-field pass (h = 0.5) overflows before any configuration
-        where = "the mean-field pass" if name == "muprop" else "configuration 1"
-        with pytest.raises(ValueError, match=f"node 4 in {where}"):
+        with pytest.raises(ValueError, match="node 4 in configuration 1"):
             estimator_expectation(EstimatorConfig(name), g, c, params=params)
 
 
