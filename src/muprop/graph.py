@@ -606,8 +606,8 @@ def forward(
     if mode == Mode.STOCHASTIC and drawn:
         if rng_seed is None:
             raise ValueError(f"rng_seed required to draw nodes {[n.id for n in drawn]}")
-        seeds = [rng_seed] if np.ndim(rng_seed) == 0 else list(rng_seed)
-        if not seeds or rows not in (1, len(seeds)):
+        seeds = [rng_seed] if np.ndim(rng_seed) == 0 else rng_seed
+        if not len(seeds) or rows not in (1, len(seeds)):
             raise ValueError(f"cannot draw nodes {[n.id for n in drawn]} from {len(seeds)} "
                              "seeds" + (f": {source} has {rows} rows" if source else ""))
         rows = len(seeds)

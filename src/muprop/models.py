@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle as _oracle
 from . import rng as _rng
 from .graph import Graph, Mode, forward
-from .numerics import log_mean_exp
+from .numerics import logsumexp
 
 
 @dataclass(frozen=True)
@@ -229,19 +229,20 @@ def evaluate_nll(
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
     if n_samples < 1:
         raise ValueError("need at least one evaluation sample")
-    # what one pass yields, and how an example's n_samples values reduce to its NLL
+    # what one pass yields, and how the examples' n_samples values each
+    # reduce to a per-example NLL
     if graph.meta["task"] == "structured_prediction":
         X, Y = data
         reads = graph.meta["logp_nodes"]  # the m log p(y | h_s) of the pass
 
-        def reduce(vals):
-            return -log_mean_exp(vals)
+        def reduce(vals):  # -log_mean_exp of each row
+            return (-(logsumexp(vals, axis=1) - np.log(n_samples))).tolist()
     else:
         X, Y = (data[0] if isinstance(data, tuple) else data), None
         reads = (graph.meta["cost"],)
 
         def reduce(vals):
-            return sum(vals.tolist()) / n_samples
+            return [sum(v.tolist()) / n_samples for v in vals]
     bound = {"x": np.asarray(X)} if Y is None else {"x": np.asarray(X), "y": np.asarray(Y)}
     if len(X) == 0:
         raise ValueError("empty evaluation set")
@@ -255,4 +256,4 @@ def evaluate_nll(
                      mode=Mode.STOCHASTIC, rng_seed=_rng.fold(seed, example, r), validate=False)
         vals[lo : lo + len(r)] = np.column_stack([tr.values[n] for n in reads])
     vals = vals.reshape(len(X), rounds * len(reads))[:, :n_samples]
-    return sum(reduce(v) for v in vals) / len(X)
+    return sum(reduce(vals)) / len(X)

@@ -18,6 +18,7 @@ from muprop import (
 from muprop import estimators as estimators_mod
 from muprop import graph as graph_mod
 from muprop import oracle as oracle_mod
+from muprop import rng as rng_mod
 from muprop.estimators import ESTIMATORS, SCORE_ESTIMATORS
 from muprop.oracle import make_chain, relative_error, sample_family
 from muprop.rng import fold
@@ -34,9 +35,12 @@ def configs():
             yield EstimatorConfig(name, flags=flags)
 
 
-def test_a_pass_of_seeds_draws_what_one_row_passes_draw():
+# a list of seeds, and an array of as many as take `rng.uniforms`' array path
+@pytest.mark.parametrize("seeds", [[fold(11, i) for i in range(40)],
+                                   fold(11, np.arange(2 * rng_mod._ARRAY_ROWS))],
+                         ids=["list", "array"])
+def test_a_pass_of_seeds_draws_what_one_row_passes_draw(seeds):
     cases = [sample_family(seed) for seed in range(8)] + [make_chain(3, 3)[0]]
-    seeds = [fold(11, i) for i in range(40)]
     for fam in cases:
         rows = forward(fam.graph, fam.inputs, fam.params, rng_seed=seeds)
         assert rows.logprob.shape == (len(seeds),)

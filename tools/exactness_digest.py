@@ -46,7 +46,10 @@ The groups:
 * draws:    3 seeded draws per estimator (flags `c,vn,idb` where allowed)
             at 8-4-4-8, 2x3-3x4-8, 392-200-200-392 and 200x10-784;
 * nll:      `evaluate_nll` at 8-4-8 (m = 2) and 2x3-4-8 (4 examples, 3 to 7
-            samples), 392-200-200-392 (3 examples x 10 samples) and
+            samples), 8-4-8 (64 examples x 100 samples, the shape of gate
+            6's evaluation: 819-row blocks, whose uniforms take
+            `rng.uniforms`' array path), 392-200-200-392 (3 examples x 10
+            samples) and
             200x10-784 (2 x 3). Evaluation runs many rows through one
             matrix product, whose sums BLAS orders differently from a
             one-row product's, so this group is compared by `--compare`;
@@ -250,6 +253,10 @@ def _nll(mp, h) -> None:
     X = synthetic_binary(4, 8, seed=6)
     for n in range(3, 8):
         _feed(h, mp.evaluate_nll(vm, params, X, n_samples=n, seed=n))
+    # many narrow rows per pass
+    g = mp.build_structured_predictor("8-4-8")
+    X, Y = synthetic_multimodal(64, 8, 8, seed=7)
+    _feed(h, mp.evaluate_nll(g, mp.init_params(g, seed=5), (X, Y), n_samples=100, seed=10))
     # wide layers: many rows per matrix product
     g = mp.build_structured_predictor("392-200-200-392")
     X, Y = synthetic_multimodal(3, 392, 392, seed=6)
