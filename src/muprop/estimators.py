@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, Kind, Mode, NonFiniteError, RowFactors, Trace, backward, forward
+from .graph import Graph, Kind, Mode, NonFiniteError, RowFactors, Trace, backward, bind, forward
 from .numerics import as_tensor
 
 VALID_FLAGS = frozenset({"c", "vn", "idb"})
@@ -415,6 +415,7 @@ def _taylor_estimate(graph: Graph, cost, inputs, params, rng_seed, anchor_groups
     group's is a mean pass whose trunk is pinned to the sampled values of
     every earlier group."""
     cost = graph.node_id(cost)
+    params = bind(graph, params)  # every pass reads one finiteness memo
     st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                        forced=forced, validate=validate)
 
@@ -587,7 +588,9 @@ def estimate(
     probability, and `per_row` keeps each row's parameter gradients apart:
     `RowFactors` for affine weights and `[rows, *shape]` arrays for every
     other parameter (see the module docstring). `validate` goes to every
-    pass it runs (see `forward`).
+    pass it runs (see `forward`): each pass checks the bound inputs and the
+    values it computes, and the parameters, bound once per call, are checked
+    once per call (once per binding when `params` is one).
     """
     name = config.name
     if name in ("muprop", "muprop_rollout"):

@@ -47,6 +47,13 @@ so a built graph can be shared read-only across threads; the only state a
 built graph gains is its caches (id lists by kind, liveness masks). All values are dense float64
 arrays; any non-finite entry produced by evaluation is an error naming its
 node and row (`NonFiniteError`), not a silent value.
+
+Validation. A validated pass checks, in topological order, every bound input
+and computed value on every pass, and each parameter once per binding (`bind`,
+which `forward` applies on entry to a plain mapping): the first validated pass
+to read a parameter records its finiteness there, for later passes to read.
+So a binding must not outlive an in-place change to its arrays: bind again
+after one.
 """
 from __future__ import annotations
 
@@ -534,11 +541,30 @@ _SAMPLERS: dict[str, Sampler] = {
 # -- forward -----------------------------------------------------------------
 
 
-def _resolve(graph: Graph, bindings) -> dict[int, np.ndarray]:
-    out = {}
+def _resolve(graph: Graph, bindings, out=None) -> dict[int, np.ndarray]:
+    out = {} if out is None else out
     for key, val in (bindings or {}).items():
         out[graph.node_id(key)] = as_tensor(val)
     return out
+
+
+class Binding(dict):
+    """Parameter values by node id, bound by `bind` to `graph`; `finite` holds
+    the ids of those a validated pass found finite (see the module docstring)."""
+
+    __slots__ = ("graph", "finite")  # no instance dict: `forward` makes one per plain mapping
+
+
+def bind(graph: Graph, params) -> Binding:
+    """`params` (keyed by node id or name) bound to `graph`; a binding made
+    for `graph` is returned as it is, and one made for another is rejected."""
+    if not isinstance(params, Binding):
+        out = Binding()
+        out.graph, out.finite = graph, set()
+        return _resolve(graph, params, out)
+    if params.graph is not graph:
+        raise ValueError("parameters are bound to another graph")
+    return params
 
 
 def _rowed(graph: Graph, bindings, what: str) -> dict[int, np.ndarray]:
@@ -588,11 +614,13 @@ def forward(
     are treated exactly like drawn samples: their log-probability is
     recorded per row in STOCHASTIC mode and they block gradients in both
     modes. `rng_seed` is needed only when some stochastic node is drawn.
-    With `validate`, the first non-finite entry of a bound or computed value
-    raises `NonFiniteError` naming its node and row.
+    `params` is a `Binding` or a mapping, bound on entry. With `validate`,
+    the first non-finite entry in topological order raises `NonFiniteError`
+    naming its node and row; bound inputs and computed values are checked on
+    every pass, parameters once per binding (see the module docstring).
     """
     inputs = _rowed(graph, {**graph.constants, **(inputs or {})}, "input")
-    params = _resolve(graph, params)
+    params = bind(graph, params)
     forced = _rowed(graph, forced, "forced value for node")
     for fid in forced:
         if graph.nodes[fid].kind != Kind.STOCHASTIC:
@@ -626,7 +654,7 @@ def forward(
             k = node.kind
             check = validate
             if k == Kind.INPUT or k == Kind.PARAMETER:
-                v = (inputs if k == Kind.INPUT else params).get(node.id)
+                v = inputs.get(node.id) if k == Kind.INPUT else params.get(node.id)
                 if v is None:
                     raise ValueError(f"unbound {k.name.lower()} {node.name or node.id!r}")
                 if k == Kind.PARAMETER:
@@ -634,6 +662,11 @@ def forward(
                         raise ValueError(
                             f"parameter {node.id}: bound shape {v.shape} != {node.shape}")
                     v = v[None]
+                    if check and node.id not in params.finite:
+                        if not np.isfinite(v).all():
+                            raise NonFiniteError(node.id, 0)
+                        params.finite.add(node.id)
+                    check = False
             elif k == Kind.DETERMINISTIC:
                 v = _OPS[node.op].forward(node, values)
             elif k == Kind.STOCHASTIC:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from . import rng as _rng
-from .graph import Graph, Mode, forward
+from .graph import Graph, Mode, bind, forward
 from .numerics import logsumexp
 
 
@@ -250,6 +250,7 @@ def evaluate_nll(
     count = len(X) * rounds
     vals = np.empty((count, len(reads)))  # row i * rounds + r: example i, round r
     block = _oracle._block_rows(graph)
+    params = bind(graph, params)
     for lo in range(0, count, block):
         example, r = np.divmod(np.arange(lo, min(lo + block, count)), rounds)
         tr = forward(graph, {k: v[example] for k, v in bound.items()}, params,

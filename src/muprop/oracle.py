@@ -12,7 +12,8 @@ configurations, sized by `_block_rows` so one pass holds at most
 max(`BLOCK_ELEMENTS`, P) value entries, P being the graph's parameter
 entries, and each oracle runs one forced pass (and one sweep) per block.
 `empirical_moments` runs its draws in blocks of the same size. Every block
-is checked for non-finite values, and an error names the node and the
+is checked for non-finite values, the parameters once per call (each oracle
+binds them once, see `graph`), and an error names the node and the
 configuration or draw.
 """
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import rng as _rng
 from .estimators import BaselineState, EstimatorConfig, estimate
-from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, forward
+from .graph import _SAMPLERS, Graph, Kind, Mode, NonFiniteError, backward, bind, forward
 from .numerics import as_tensor
 
 MAX_CONFIGS = 1 << 16
@@ -129,6 +130,7 @@ def exact_expected_cost_and_grad(
     """
     cost = graph.node_id(cost)
     wrt = list(graph.param_ids if wrt is None else (graph.node_id(w) for w in wrt))
+    params = bind(graph, params)
     total_cost = 0.0
     total_p = 0.0
     grads = {w: np.zeros(graph.nodes[w].shape) for w in wrt}
@@ -180,6 +182,7 @@ def estimator_expectation(
     if "vn" in config.flags:
         raise ValueError("variance normalization has no closed-form expectation")
     idb_input = _default_idb_input(graph, inputs)
+    params = bind(graph, params)
     total: dict[int, np.ndarray] = {}
     total_p = 0.0
     for start, forced in config_blocks(graph):
@@ -229,6 +232,7 @@ def empirical_moments(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     idb_input = _default_idb_input(graph, inputs)
+    params = bind(graph, params)
     rows = _block_rows(graph)
     moments = _Moments()
     cost_acc = 0.0
@@ -318,28 +322,24 @@ def finite_difference_check(
     cost = graph.node_id(cost)
     wrt = list(graph.param_ids if wrt is None else (graph.node_id(w) for w in wrt))
     report = exact_expected_cost_and_grad(graph, cost, inputs, params, wrt=wrt)
-    params = {} if params is None else dict(params)
-    bound = {graph.node_id(k): np.array(v, dtype=np.float64) for k, v in params.items()}
+    arrays = {pid: np.array(v, dtype=np.float64) for pid, v in bind(graph, params).items()}
 
     worst = 0.0
     for w in wrt:
-        base = bound[w]
+        base = arrays[w]
         it = np.nditer(base, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = base[idx]
             base[idx] = orig + step
-            up = exact_expected_cost_and_grad(graph, cost, inputs, _named(graph, bound), wrt=[]).expected_cost
+            # a fresh binding after each in-place perturbation
+            up = exact_expected_cost_and_grad(graph, cost, inputs, bind(graph, arrays), wrt=[]).expected_cost
             base[idx] = orig - step
-            dn = exact_expected_cost_and_grad(graph, cost, inputs, _named(graph, bound), wrt=[]).expected_cost
+            dn = exact_expected_cost_and_grad(graph, cost, inputs, bind(graph, arrays), wrt=[]).expected_cost
             base[idx] = orig
             fd = (up - dn) / (2.0 * step)
             worst = max(worst, relative_error(report.grads[w][idx], fd))
     return worst
-
-
-def _named(graph: Graph, bound: dict) -> dict:
-    return {graph.nodes[w].name or w: v for w, v in bound.items()}
 
 
 # -- randomized graph family ----------------------------------------------------

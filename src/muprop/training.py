@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as _rng
 from .data import binarize, load_mnist, split_halves, synthetic_binary, synthetic_multimodal
 from .estimators import SCORE_ESTIMATORS, BaselineState, EstimatorConfig, estimate
-from .graph import RowFactors
+from .graph import RowFactors, bind
 from .models import build_sbn_variational, build_structured_predictor, evaluate_nll, init_params
 
 METRIC_FIELDS = (
@@ -273,6 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 cost_acc = 0.0
                 sig_acc = []
                 t0 = time.perf_counter()
+                bound = bind(graph, params)  # the step's examples share one finiteness memo
                 for i in batch:
                     if sop:
                         inputs = {"x": train[0][i], "y": train[1][i]}
@@ -284,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             graph,
                             cost,
                             inputs,
-                            params,
+                            bound,
                             rng_seed=_rng.fold(cfg.seed, 33, step, int(i)),
                             baselines=baselines,
                             idb_input=inputs["x"],
@@ -296,6 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         acc[pid] = acc[pid] + g if pid in acc else g
                     if est.node_diag:
                         sig_acc.append(float(np.mean([d["signal"] for d in est.node_diag.values()])))
+                del bound  # held through the update, it would keep every old weight alive
                 scale = 1.0 / len(batch)
                 grads = {pid: (g.total() if isinstance(g, RowFactors) else g[0]) * scale
                          for pid, g in acc.items()}
