@@ -24,22 +24,14 @@ one group per stochastic layer.
 
 An estimate covers every row of its stochastic trace (see `graph` for
 rows), and its gradient is one sweep summed over them (kept per row with
-`per_row`). What the rows mean decides how they meet the baseline
-statistics:
-
-* Unweighted rows are successive draws. Row i is adjusted against the
-  statistics rows 0..i-1 left behind, and with flag "idb" the net predicts
-  once and takes one regression step per row, so a block of rows leaves the
-  same state as the same draws made one call at a time. The signals never
-  read that state, so the recurrence is a scalar loop run after the batched
-  passes.
-* With `weighted`, the rows are the configurations of a single draw: each
-  row's seeds are scaled by its probability, read off the same trace, so the
-  gradient is the sum of p * (each row's estimate), an exact expectation over
-  the block. Every row is adjusted against the given statistics, which are
-  read and never written.
-
-Without a `baselines` state to keep, every row sees fresh statistics.
+`per_row`). Unweighted rows are successive draws; with `weighted`, they are
+the configurations of a single draw: each row's seeds are scaled by its
+probability, read off the same trace, so the gradient is the sum of
+p * (each row's estimate), an exact expectation over the block. What the
+rows mean decides how they meet the baseline statistics, and
+`apply_baselines` states both rules: successive draws update a kept state
+row by row, and a weighted block (or a call with no state to keep) only
+reads it.
 
 Baselines never change what the estimators report as the raw learning signal;
 diagnostics always carry the pre-baseline value.
@@ -128,67 +120,94 @@ class BaselineState:
 
 
 def apply_baselines(
-    signal: float | np.ndarray,
-    node_id: int,
+    signals: dict,
     state: BaselineState,
     flags,
-    idb_pred: float | None = None,
-    diag: dict | None = None,
+    idb_input: np.ndarray | None = None,
+    node_diag: dict | None = None,
     update: bool = True,
-) -> float | np.ndarray:
-    """Center/normalize a learning signal, one per row (or a scalar).
+) -> dict:
+    """Center and normalize a pass's learning signals: `{node id: [rows]
+    signals}` in, the adjusted signals out in the same form.
 
-    Order: subtract the moving mean (flag "c"), subtract `idb_pred`, the idb
-    net's prediction for the draw's input sample (flag "idb"), then divide by
-    max(1, sqrt(v)) (flag "vn", always last). With `update` the rows are
-    successive draws: row i is adjusted against the statistics that rows
-    0..i-1 left behind, and each row folds its signal into them. Without it
-    every row is adjusted against the statistics as they stand, and the
-    state is not written.
+    Order: subtract the node's moving mean `b` (flag "c"), subtract the idb
+    net's prediction for `idb_input` (flag "idb"), then divide by
+    max(1, sqrt(v)) (flag "vn", always last). With `node_diag`, each node's
+    entry gets the raw "signal", what the flags took off it ("baseline") and
+    the "adjusted" signal. The rows meet the state in one of two ways:
+
+    * With `update`, the rows are successive draws. Row i is adjusted
+      against the statistics rows 0..i-1 left behind: the net predicts once
+      for the row, every node's signal is adjusted and folded into its `b`
+      and `v`, and then the net takes one regression step (`idb_update`)
+      toward the row's mean raw signal minus the mean updated `b`. A block
+      of rows leaves the same state as the same draws made one call at a
+      time.
+    * Without it, every row is adjusted against the statistics as they
+      stand (with no net trained yet, against a fresh one's prediction),
+      and nothing is written.
     """
     flags = frozenset(flags)
     bad = flags - VALID_FLAGS
     if bad:
         raise ValueError(f"unknown baseline flags {sorted(bad)}")
-    if "idb" in flags and idb_pred is None:
-        raise ValueError("idb flag requires the prediction for the input sample")
-    b = state.b.get(node_id, 0.0)
-    v = state.v.get(node_id, 0.0)
-
+    idb = "idb" in flags
+    if idb:
+        if idb_input is None:
+            raise ValueError("idb flag requires the input sample")
+        x = np.asarray(idb_input, dtype=np.float64).ravel()
+    # each node's b and v as they stand; with `update`, they run over the rows
+    # and then become `[rows]` arrays of what adjusted each row
+    bs = [state.b.get(sid, 0.0) for sid in signals]
+    vs = [state.v.get(sid, 0.0) for sid in signals]
+    pred = None
     if update:
+        seen, preds = [], []  # each row's statistics and prediction, before the row
+        net = state.ensure_idb(x.size) if idb else None
         d = BASELINE_DECAY
-        seen = []  # (b, v) before each row
-        for s in signal.tolist() if isinstance(signal, np.ndarray) else [signal]:
-            seen.append((b, v))
-            centered = s - _subtracted(flags, b, idb_pred)
-            b = d * b + (1.0 - d) * s
-            v = d * v + (1.0 - d) * centered * centered
-        state.b[node_id] = b
-        state.v[node_id] = v
-        b, v = np.array(seen).T if isinstance(signal, np.ndarray) else seen[0]
-
-    subtracted = _subtracted(flags, b, idb_pred)
-    adjusted = signal
-    if "c" in flags:
-        adjusted = adjusted - b
-    if "idb" in flags:
-        adjusted = adjusted - idb_pred
-    if "vn" in flags:
-        adjusted = adjusted / np.maximum(1.0, np.sqrt(v))
-    if diag is not None:
-        diag["signal"] = signal
-        diag["baseline"] = subtracted
-        diag["adjusted"] = adjusted
+        for row in zip(*[sig.tolist() for sig in signals.values()]):
+            pred = net.value(x) if idb else None
+            preds.append(pred)
+            seen.append(bs + vs)
+            for j, s in enumerate(row):
+                b, v = bs[j], vs[j]
+                centered = s - _subtracted(flags, b, pred)
+                bs[j] = d * b + (1.0 - d) * s
+                vs[j] = d * v + (1.0 - d) * centered * centered
+            if idb:
+                target = float(np.mean(row) - np.mean(bs))
+                idb_update(state, x, target, IDB_LR)
+        for sid, b, v in zip(signals, bs, vs):
+            state.b[sid], state.v[sid] = b, v
+        seen = np.array(seen).T  # [2 * nodes, rows]
+        bs, vs = seen[:len(bs)], seen[len(bs):]
+        pred = np.array(preds) if idb else None
+    elif idb:
+        net = state.idb if state.idb is not None else IdbNet(x.size, IDB_HIDDEN, state.seed)
+        pred = net.value(x)
+    adjusted = {}
+    for j, (sid, signal) in enumerate(signals.items()):
+        a = signal
+        if "c" in flags:
+            a = a - bs[j]
+        if idb:
+            a = a - pred
+        if "vn" in flags:
+            a = a / np.maximum(1.0, np.sqrt(vs[j]))
+        adjusted[sid] = a
+        if node_diag is not None:
+            node_diag[sid].update(signal=signal, baseline=_subtracted(flags, bs[j], pred),
+                                  adjusted=a)
     return adjusted
 
 
-def _subtracted(flags, b, idb_pred):
+def _subtracted(flags, b, pred):
     """What the flags take off a signal: b with "c", plus the prediction with "idb"."""
     out = 0.0
     if "c" in flags:
         out += b
     if "idb" in flags:
-        out += idb_pred
+        out += pred
     return out
 
 
@@ -266,40 +285,6 @@ def _param_grads(graph: Graph, trace: Trace, seeds: dict, stochastic_vjp=None,
     return out
 
 
-def _adjusted_signals(signals: dict, state: BaselineState, flags, idb_input, node_diag: dict,
-                      update: bool) -> dict:
-    """Each node's adjusted signal per row, by `apply_baselines`; with
-    `update`, the rows are successive draws and the state evolves over them
-    in row order (see the module docstring)."""
-    if "idb" not in flags:
-        return {sid: apply_baselines(sig, sid, state, flags, diag=node_diag[sid], update=update)
-                for sid, sig in signals.items()}
-    x = np.asarray(idb_input, dtype=np.float64).ravel()
-    if not update:
-        net = state.idb if state.idb is not None else IdbNet(x.size, IDB_HIDDEN, state.seed)
-        pred = net.value(x)
-        return {sid: apply_baselines(sig, sid, state, flags, pred, node_diag[sid], update=False)
-                for sid, sig in signals.items()}
-    # each row's prediction comes from the net its predecessors trained
-    net = state.ensure_idb(x.size)
-    rows = {sid: sig.tolist() for sid, sig in signals.items()}
-    adjusted = {sid: [] for sid in signals}
-    subtracted = {sid: [] for sid in signals}
-    for i in range(len(next(iter(rows.values())))):
-        pred = net.value(x)
-        for sid, sig in rows.items():
-            d = {}
-            adjusted[sid].append(apply_baselines(sig[i], sid, state, flags, pred, d))
-            subtracted[sid].append(d["baseline"])
-        raws = [sig[i] for sig in rows.values()]
-        target = float(np.mean(raws) - np.mean([state.b[sid] for sid in rows]))
-        idb_update(state, x, target, IDB_LR)
-    for sid in signals:
-        node_diag[sid].update(signal=signals[sid], baseline=np.array(subtracted[sid]),
-                              adjusted=np.array(adjusted[sid]))
-    return {sid: np.array(a) for sid, a in adjusted.items()}
-
-
 def _score_estimate(
     graph: Graph,
     trace: Trace,
@@ -319,15 +304,12 @@ def _score_estimate(
     cost)` of a mean-field pass makes it MuProp: the signal is the residual
     f(x) - f(xbar) - f'(xbar_i)^T (x_i - xbar_i), and the linear term comes
     back through the mean map. Signals, anchors and seeds are per row. Once
-    every signal is known, the baseline recurrence adjusts them row by row
-    (`apply_baselines`; with flag "idb" the net predicts and takes one
-    regression step per row, toward the row's mean raw signal minus the mean
-    updated moving baseline), and each seed is the score times its row's
+    every signal is known, `apply_baselines` adjusts them in one step, as
+    successive draws against a kept `baselines` state and read-only with
+    `weighted` or without one, and each seed is the score times its row's
     adjusted signal.
     """
     _check_stochastic_trace(graph, trace)
-    if "idb" in flags and idb_input is None:
-        raise ValueError("idb flag requires the input sample")
     f = trace.values[cost]
     signals: dict[int, np.ndarray] = {}
     parts: dict[int, tuple] = {}  # node -> (score, mean-map seed or None)
@@ -350,7 +332,7 @@ def _score_estimate(
             parts[sid] = (score, linear)
     update = baselines is not None and not weighted
     state = baselines if baselines is not None else BaselineState()
-    adjusted = _adjusted_signals(signals, state, flags, idb_input, node_diag, update)
+    adjusted = apply_baselines(signals, state, flags, idb_input, node_diag, update)
     seeds: dict[int, np.ndarray] = {cost: np.ones(())}
     for sid, (score, linear) in parts.items():
         seed = score * adjusted[sid][:, None]
@@ -584,13 +566,14 @@ def estimate(
     rows (see `graph` for rows), producing any forward passes it needs.
 
     With a kept `baselines` state, a block of B seeds leaves it as B one-row
-    calls made in order would. `weighted` weights each row's estimate by its
-    probability, and `per_row` keeps each row's parameter gradients apart:
-    `RowFactors` for affine weights and `[rows, *shape]` arrays for every
-    other parameter (see the module docstring). `validate` goes to every
-    pass it runs (see `forward`): each pass checks the bound inputs and the
-    values it computes, and the parameters, bound once per call, are checked
-    once per call (once per binding when `params` is one).
+    calls made in order would (see `apply_baselines`). `weighted` weights
+    each row's estimate by its probability, and `per_row` keeps each row's
+    parameter gradients apart: `RowFactors` for affine weights and
+    `[rows, *shape]` arrays for every other parameter (see the module
+    docstring). `validate` goes to every pass it runs (see `forward`): each
+    pass checks the bound inputs and the values it computes, and the
+    parameters, bound once per call, are checked once per call (once per
+    binding when `params` is one).
     """
     name = config.name
     if name in ("muprop", "muprop_rollout"):

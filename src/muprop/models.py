@@ -113,7 +113,6 @@ def build_structured_predictor(arch: str, m: int = 1) -> Graph:
 class VariationalModel:
     graph: Graph
     cost: int
-    observation: int
     latents: tuple
     generative: tuple  # parameter ids of p
     inference: tuple  # parameter ids of q
@@ -184,7 +183,6 @@ def build_sbn_variational(arch: str) -> VariationalModel:
     return VariationalModel(
         graph=g,
         cost=cost,
-        observation=g.node_id("x"),
         latents=tuple(latents),
         generative=tuple(generative),
         inference=tuple(inference),

@@ -59,6 +59,12 @@ class ExperimentConfig:
     eval_every: int = 0  # extra eval rows every n steps; 0 = first/last only
     max_steps: int = 0  # 0 = no cap
 
+    def __post_init__(self):
+        for name, least in (("batch_size", 1), ("epochs", 0), ("max_steps", 0),
+                            ("log_every", 0), ("eval_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

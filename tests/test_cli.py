@@ -137,6 +137,21 @@ def test_bad_arguments_exit_nonzero(capsys):
         main(["unknown-command"])
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch", "-1", "batch_size must be at least 1, got -1"),
+    ("--batch", "0", "batch_size must be at least 1, got 0"),
+    ("--epochs", "-1", "epochs must be at least 0, got -1"),
+    ("--steps", "-1", "max_steps must be at least 0, got -1"),
+    ("--log-every", "-1", "log_every must be at least 0, got -1"),
+    ("--eval-every", "-1", "eval_every must be at least 0, got -1"),
+])
+def test_train_rejects_bad_counts_before_writing(tmp_path, flag, value, message):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        main(["train", "--arch", "6-3-6", flag, value, "--out-dir", str(out)])
+    assert not out.exists()
+
+
 def declared_console_script(name):
     """The `module:function` that `[project.scripts]` declares for `name`."""
     if sys.version_info >= (3, 11):

@@ -1,4 +1,5 @@
 """Draws as rows: a pass of B seeds, and `empirical_moments` over blocks of draws."""
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,24 +67,51 @@ def test_seed_sequences_and_forced_rows_must_agree():
         forward(g, fam.inputs, fam.params, Mode.MEAN_FIELD, rng_seed=[1])
 
 
-def test_array_signals_are_successive_draws():
-    """A signal array adjusts row i against what rows 0..i-1 left behind,
-    exactly as one call per row; without `update` nothing is written."""
-    signals = np.array([2.0, 0.5, -1.0, 3.0])
-    for flags in (("c",), ("c", "vn"), ("c", "idb", "vn")):
-        rows, seq = BaselineState(), BaselineState()
-        got = apply_baselines(signals, 3, rows, flags, idb_pred=0.25)
-        want = [apply_baselines(s, 3, seq, flags, idb_pred=0.25) for s in signals]
-        assert np.array_equal(got, want)
-        assert rows.b == seq.b and rows.v == seq.v
-        def frozen():
-            return BaselineState(b=dict(seq.b), v=dict(seq.v))
+def state_bytes(state):
+    """The bytes of a baseline state: each node's b and v, and the idb net."""
+    stats = [(sid, np.float64(d[sid]).tobytes()) for d in (state.b, state.v) for sid in sorted(d)]
+    net = None if state.idb is None else [
+        a.tobytes() for a in (state.idb.w1, state.idb.b1, state.idb.w2, state.idb.b2)]
+    return stats, net
 
-        state = frozen()
-        snap = apply_baselines(signals, 3, state, flags, idb_pred=0.25, update=False)
-        assert state.b == seq.b and state.v == seq.v
-        want = [apply_baselines(s, 3, frozen(), flags, idb_pred=0.25) for s in signals]
-        assert np.array_equal(snap, want)
+
+def test_array_signals_are_successive_draws():
+    """A block of rows adjusts row i against what rows 0..i-1 left behind,
+    exactly as one call per row, the idb net's predictions and steps
+    included; without `update` nothing is written."""
+    signals = {3: np.array([2.0, 0.5, -1.0, 3.0]), 5: np.array([-0.5, 1.5, 0.25, 4.0])}
+    x = np.array([1.0, -0.5, 0.25, 2.0])
+
+    def one_row_calls(state, flags, diag):
+        got = [apply_baselines({sid: sig[i:i + 1] for sid, sig in signals.items()}, state,
+                               flags, x, diag[i]) for i in range(4)]
+        return {sid: np.concatenate([g[sid] for g in got]) for sid in signals}
+
+    for flags in (("c",), ("c", "vn"), ("idb",), ("c", "idb", "vn")):
+        rows, seq = BaselineState(seed=6), BaselineState(seed=6)
+        diag = {sid: {} for sid in signals}
+        got = apply_baselines(signals, rows, flags, x, diag)
+        seq_diag = [{sid: {} for sid in signals} for _ in range(4)]
+        want = one_row_calls(seq, flags, seq_diag)
+        for sid in signals:
+            assert np.array_equal(got[sid], want[sid])
+            assert diag[sid]["signal"] is signals[sid]
+            assert np.array_equal(diag[sid]["adjusted"], want[sid])
+            assert np.array_equal(diag[sid]["baseline"],
+                                  np.concatenate([d[sid]["baseline"] for d in seq_diag]))
+        assert state_bytes(rows) == state_bytes(seq)
+        assert (rows.idb is not None) == ("idb" in flags)
+
+        state = copy.deepcopy(seq)  # warmed: non-zero b and v, and a trained net
+        before = state_bytes(state)
+        snap = apply_baselines(signals, state, flags, x, update=False)
+        assert state_bytes(state) == before
+        # every row meets the state as it stands: one one-row call from a copy each
+        for i in range(4):
+            one = apply_baselines({sid: sig[i:i + 1] for sid, sig in signals.items()},
+                                  copy.deepcopy(seq), flags, x)
+            for sid in signals:
+                assert snap[sid][i] == one[sid][0]
 
 
 def reference_moments(config, fam, n, seed, state):

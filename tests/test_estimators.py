@@ -126,37 +126,52 @@ def test_taylor_estimators_reject_pure_det_graphs():
             fn(det, cd, None, {"w": 2.0}, 0)
 
 
+def adjust(state, flags, signals, **kw):
+    """`apply_baselines` on one row per node: {node id: signal} in and out."""
+    rows = {sid: np.array([s]) for sid, s in signals.items()}
+    return {sid: a.item() for sid, a in apply_baselines(rows, state, flags, **kw).items()}
+
+
 def test_baseline_arithmetic_updates_after_use():
     st = BaselineState()
     # first use sees the raw signal, stats update afterwards
-    assert apply_baselines(2.0, 7, st, {"c"}) == pytest.approx(2.0)
+    assert adjust(st, {"c"}, {7: 2.0}) == {7: pytest.approx(2.0)}
     assert st.b[7] == pytest.approx(0.2)
     assert st.v[7] == pytest.approx(0.1 * 4.0)
-    assert apply_baselines(0.5, 7, st, {"c"}) == pytest.approx(0.3)
+    # per-node isolation: node 8 starts fresh beside node 7's second use
+    assert adjust(st, {"c"}, {7: 0.5, 8: 1.0}) == {7: pytest.approx(0.3), 8: pytest.approx(1.0)}
     assert st.b[7] == pytest.approx(0.9 * 0.2 + 0.1 * 0.5)
-    # per-node isolation
-    assert apply_baselines(1.0, 8, st, {"c"}) == pytest.approx(1.0)
+    assert st.b[8] == pytest.approx(0.1)
 
 
 def test_variance_divisor_is_clamped_at_one():
     st = BaselineState()
-    assert apply_baselines(10.0, 0, st, {"vn"}) == pytest.approx(10.0)
+    assert adjust(st, {"vn"}, {0: 10.0}) == {0: pytest.approx(10.0)}
     assert st.v[0] == pytest.approx(10.0)
-    assert apply_baselines(2.0, 0, st, {"vn"}) == pytest.approx(2.0 / np.sqrt(10.0))
+    assert adjust(st, {"vn"}, {0: 2.0}) == {0: pytest.approx(2.0 / np.sqrt(10.0))}
     small = BaselineState()
-    apply_baselines(0.5, 0, small, {"vn"})  # v = 0.025, sqrt < 1
-    assert apply_baselines(0.5, 0, small, {"vn"}) == pytest.approx(0.5)
+    adjust(small, {"vn"}, {0: 0.5})  # v = 0.025, sqrt < 1
+    assert adjust(small, {"vn"}, {0: 0.5}) == {0: pytest.approx(0.5)}
 
 
 def test_baseline_flag_validation_and_diagnostics():
     st = BaselineState()
     with pytest.raises(ValueError, match="unknown baseline flags"):
-        apply_baselines(1.0, 0, st, {"zz"})
+        adjust(st, {"zz"}, {0: 1.0})
     with pytest.raises(ValueError, match="input sample"):
-        apply_baselines(1.0, 0, st, {"idb"})
-    d = {}
-    apply_baselines(3.0, 1, st, {"c"}, diag=d)
-    assert d == {"signal": 3.0, "baseline": 0.0, "adjusted": 3.0}
+        adjust(st, {"idb"}, {0: 1.0})
+    assert st.b == {} and st.v == {} and st.idb is None  # rejected before any write
+    d = {1: {}}
+    adjust(st, {"c"}, {1: 3.0}, node_diag=d)
+    assert {k: v.tolist() for k, v in d[1].items()} == {
+        "signal": [3.0], "baseline": [0.0], "adjusted": [3.0]}
+    # read-only, every row meets the one moving mean: a scalar baseline
+    d = {1: {}}
+    signals = {1: np.array([3.0, 1.0])}
+    apply_baselines(signals, st, {"c"}, node_diag=d, update=False)
+    assert d[1]["signal"] is signals[1]
+    assert d[1]["baseline"] == st.b[1] and isinstance(d[1]["baseline"], float)
+    assert d[1]["adjusted"].tolist() == [3.0 - st.b[1], 1.0 - st.b[1]]
 
 
 def test_input_dependent_baseline_regresses_to_signal():
@@ -181,8 +196,16 @@ def two_layer_predictor():
 
 
 def test_idb_subtraction_uses_shared_net():
-    st = BaselineState()
-    assert apply_baselines(5.0, 0, st, {"idb"}, idb_pred=1.25) == 5.0 - 1.25
+    x = np.array([1.0, -0.5, 0.25])
+    # with no net trained yet, a read-only step predicts with a fresh one and keeps none
+    st = BaselineState(seed=1)
+    fresh = IdbNet(3, estimators_mod.IDB_HIDDEN, 1).value(x)
+    assert adjust(st, {"idb"}, {0: 5.0, 2: 1.0}, idb_input=x, update=False) == {
+        0: 5.0 - fresh, 2: 1.0 - fresh}
+    assert st.idb is None and st.b == {} and st.v == {}
+    # an updating step builds the net, and every node subtracts its one prediction
+    assert adjust(st, {"idb"}, {0: 5.0, 2: 1.0}, idb_input=x) == {0: 5.0 - fresh, 2: 1.0 - fresh}
+    assert st.idb is not None and st.idb.value(x) != fresh
     g, xy, params = two_layer_predictor()
     st = BaselineState(seed=1)
     pred = st.ensure_idb(8).value(xy["x"])

@@ -35,7 +35,9 @@ The groups:
             estimator (score estimators with flags none, `c` and `c,idb`):
             grads, cost, log-probability and diagnostics;
 * oracle:   `exact_expected_cost_and_grad`, `estimator_expectation` and
-            `finite_difference_check`;
+            `finite_difference_check`, and `estimator_expectation` of each
+            score estimator (flags `c,idb`) against a baseline state
+            warmed by 50 draws (non-zero statistics, a trained net);
 * moments:  2,000-draw `empirical_moments` per estimator (flags `c` and
             `c,vn,idb` where allowed) on `sample_family(0..9)`, with the
             final baseline state. 2,000 draws run as one block on four of
@@ -193,6 +195,18 @@ def _oracle(mp, h) -> None:
             _feed(h, mp.estimator_expectation(mp.EstimatorConfig(name, flags=flags), *args))
         if seed < 3:
             _feed(h, mp.finite_difference_check(*args))
+    # read-only baselines against non-zero statistics: a state warmed by 50
+    # draws (moving b and v, a trained idb net), which the expectations
+    # must read and leave as it was
+    fam = sample_family(4)
+    args = (fam.graph, fam.cost, fam.inputs, fam.params)
+    state = mp.BaselineState(seed=4)
+    mp.empirical_moments(mp.EstimatorConfig("muprop", flags=("c", "idb")), *args, n_samples=50,
+                         seed=4, baselines=state)
+    for name in SCORE:
+        _feed(h, mp.estimator_expectation(mp.EstimatorConfig(name, flags=("c", "idb")), *args,
+                                          baselines=state))
+    _feed(h, [state.b, state.v, [state.idb.w1, state.idb.b1, state.idb.w2, state.idb.b2]])
 
 
 def _moments(mp, h) -> None:
