@@ -53,7 +53,7 @@ def _build_train_config(args) -> ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _build_train_config(args)
+    cfg = args.cfg
     if args.dry_run:
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -147,6 +147,11 @@ def main(argv=None) -> int:
     ve.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.command == "train":
+        try:  # a rejected config is a usage error, reported before anything is written
+            args.cfg = _build_train_config(args)
+        except ValueError as err:
+            tr.error(str(err))
     return args.fn(args)
 
 

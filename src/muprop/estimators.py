@@ -367,7 +367,7 @@ def lr_estimate(
 
 
 def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True,
-                    need=None):
+                    need=None, reuse: Trace | None = None):
     """Deterministic relaxation pass plus the adjoint sweep its readers need.
 
     The adjoint list holds the cost's derivative at the stochastic nodes in
@@ -375,16 +375,30 @@ def mean_field_pass(graph: Graph, cost, inputs, params, validate: bool = True,
     between them and the cost. Every other entry, parameters and inputs
     included, is None, apart from the cost's own seed. The pass pins no
     sample, so its rows belong to no draw: a non-finite value raises
-    `NonFiniteError` with `row` None.
+    `NonFiniteError` with `row` None. `reuse` goes to `forward`: the values
+    no stochastic node reaches are taken from that trace.
     """
     cost = graph.node_id(cost)
     try:
-        trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate)
+        trace = forward(graph, inputs, params, mode=Mode.MEAN_FIELD, validate=validate,
+                        reuse=reuse)
     except NonFiniteError as err:
         raise NonFiniteError(err.node, None) from None
     adj = backward(graph, trace, {cost: np.ones(())},
                    need=graph.stochastic_ids if need is None else need)
     return trace, adj
+
+
+def _check_input_rows(graph: Graph, inputs, rng_seed) -> None:
+    """Reject inputs grouped over a sequence of seeds (see `graph`): an
+    estimate's inputs have one row or one per seed."""
+    if np.ndim(rng_seed) == 0 or not inputs:
+        return
+    for key, v in inputs.items():
+        nid = graph.node_id(key)
+        if np.ndim(v) > len(graph.nodes[nid].shape) and 1 < len(v) < len(rng_seed):
+            raise ValueError(f"input {nid} has {len(v)} rows for {len(rng_seed)} seeds: an "
+                             "estimate takes inputs of one row or one row per seed")
 
 
 def _taylor_estimate(graph: Graph, cost, inputs, params, rng_seed, anchor_groups,
@@ -395,8 +409,12 @@ def _taylor_estimate(graph: Graph, cost, inputs, params, rng_seed, anchor_groups
     when its group is reached, over the same rows as the stochastic pass.
     The first group's anchor pins nothing: the mean-field pass. Each later
     group's is a mean pass whose trunk is pinned to the sampled values of
-    every earlier group."""
+    every earlier group. Every anchor pass reuses the stochastic pass's
+    values where no unpinned stochastic node reaches (`forward(reuse=...)`).
+    Inputs grouped over the seeds are rejected: the anchor passes draw
+    nothing, so their rows would not be the stochastic pass's."""
     cost = graph.node_id(cost)
+    _check_input_rows(graph, inputs, rng_seed)
     params = bind(graph, params)  # every pass reads one finiteness memo
     st_trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                        forced=forced, validate=validate)
@@ -406,10 +424,11 @@ def _taylor_estimate(graph: Graph, cost, inputs, params, rng_seed, anchor_groups
         for group in anchor_groups:
             if pinned:
                 branch = forward(graph, inputs, params, mode=Mode.MEAN_FIELD,
-                                 forced=dict(pinned), validate=validate)
+                                 forced=dict(pinned), validate=validate, reuse=st_trace)
                 adj = backward(graph, branch, {cost: np.ones(())}, need=group)
             else:
-                branch, adj = mean_field_pass(graph, cost, inputs, params, validate, need=group)
+                branch, adj = mean_field_pass(graph, cost, inputs, params, validate, need=group,
+                                              reuse=st_trace)
             yield group, (branch.values, adj, branch.values[cost])
             for sid in group:
                 pinned[sid] = st_trace.values[sid]
@@ -580,6 +599,7 @@ def estimate(
         taylor = muprop_estimate if name == "muprop" else muprop_rollout_estimate
         return taylor(graph, cost, inputs, params, rng_seed, baselines, config.flags, forced,
                       idb_input, validate, weighted, per_row)
+    _check_input_rows(graph, inputs, rng_seed)
     trace = forward(graph, inputs, params, mode=Mode.STOCHASTIC, rng_seed=rng_seed,
                     forced=forced, validate=validate)
     if name == "lr":

@@ -18,6 +18,18 @@ that contract, which the rest of the package points to:
 * A bound input or `forced` value is in its node's shape (one row) or
   `[B, *node.shape]`, and a seed is one seed or a sequence of B. A pass has
   the B they share; any other disagreement is a ValueError naming the node.
+* Grouped input rows: in a pass drawn from B seeds, the rowed inputs may
+  instead have k rows, k dividing B, and input row j then serves the B/k
+  consecutive pass rows from j * B/k (k = 1 is the broadcast above; forced
+  values keep 1 or B rows). Every value that only inputs and parameters
+  reach is computed at k rows, a drawn node samples each input row's B/k
+  draws from one layer over that row's logits, and an op (or a forced
+  node) that meets a k-row value beside B-row ones reads it repeated, the
+  repeat made once per value per pass. Before `forward` returns, every
+  k-row value and drawn layer is widened to B rows, so a `Trace` holds 1 or
+  B rows per value and no reader sees the grouping. A non-finite k-row
+  value is named at the first pass row that reads it. `estimate` rejects
+  grouped inputs: its Taylor anchor passes draw no seeds.
 * Row i computes what a one-row pass at row i of each rowed input and forced
   value computes (to the order of BLAS's sums in a many-row product), and
   draws what a one-row pass at `seeds[i]` draws, from its own stream
@@ -107,9 +119,9 @@ class NonFiniteError(ValueError):
 
 @dataclass
 class Trace:
-    """One forward evaluation of `rows` rows: every node's value as
-    `[1 or rows, *node.shape]`, each stochastic node's layer (built once per
-    pass), the log-probability of each row's drawn and forced samples
+    """One forward evaluation of `rows` rows of `graph`: every node's value
+    as `[1 or rows, *node.shape]`, each stochastic node's layer (over those
+    logits), the log-probability of each row's drawn and forced samples
     (`[rows]`, zeros in mean-field mode) and the drawn or forced nodes
     (`barriers`)."""
 
@@ -118,6 +130,7 @@ class Trace:
     layers: dict[int, BernoulliLayer | CategoricalLayer]
     logprob: np.ndarray
     barriers: frozenset[int]
+    graph: Graph
 
     def cost_value(self, node_id: int) -> float:
         """A scalar node's value in a one-row trace."""
@@ -605,10 +618,11 @@ def forward(
     rng_seed=None,
     forced: dict[int, np.ndarray] | None = None,
     validate: bool = True,
+    reuse: Trace | None = None,
 ) -> Trace:
     """Evaluate every node; returns a Trace covering the whole graph. How
-    inputs, forced values and seeds give the pass its rows: see the module
-    docstring.
+    inputs, forced values and seeds give the pass its rows, grouped input
+    rows included: see the module docstring.
 
     `forced` prescribes outcomes for stochastic nodes, by id. Forced nodes
     are treated exactly like drawn samples: their log-probability is
@@ -618,6 +632,12 @@ def forward(
     the first non-finite entry in topological order raises `NonFiniteError`
     naming its node and row; bound inputs and computed values are checked on
     every pass, parameters once per binding (see the module docstring).
+
+    `reuse` is an earlier trace of this graph over the same inputs and
+    parameters whose values at the forced nodes are the forced ones: every
+    node that no free stochastic node (one not in `forced`) reaches takes
+    its value from it, unchecked, and a forced node among them also its
+    layer, so only what the free nodes change is computed again.
     """
     inputs = _rowed(graph, {**graph.constants, **(inputs or {})}, "input")
     params = bind(graph, params)
@@ -625,8 +645,6 @@ def forward(
     for fid in forced:
         if graph.nodes[fid].kind != Kind.STOCHASTIC:
             raise ValueError(f"forced value for non-stochastic node {fid}")
-    rows, source = _pass_rows(("input", inputs), ("forced value for node", forced))
-
     if mode == Mode.MEAN_FIELD and rng_seed is not None:
         raise ValueError("mean-field evaluation takes no rng seed")
     drawn = [graph.nodes[i] for i in graph.stochastic_ids if i not in forced]
@@ -635,12 +653,28 @@ def forward(
         if rng_seed is None:
             raise ValueError(f"rng_seed required to draw nodes {[n.id for n in drawn]}")
         seeds = [rng_seed] if np.ndim(rng_seed) == 0 else rng_seed
-        if not len(seeds) or rows not in (1, len(seeds)):
-            raise ValueError(f"cannot draw nodes {[n.id for n in drawn]} from {len(seeds)} "
-                             "seeds" + (f": {source} has {rows} rows" if source else ""))
         rows = len(seeds)
+        group, source = _pass_rows(("input", inputs))
+        frows, fsource = _pass_rows(("forced value for node", forced))
+        if frows not in (1, rows):  # name the forced value below
+            group, source = frows, fsource
+        if group > rows or rows % group or frows not in (1, rows):
+            raise ValueError(f"cannot draw nodes {[n.id for n in drawn]} from {rows} "
+                             "seeds" + (f": {source} has {group} rows" if source else ""))
         u = _rng.uniforms(seeds, sum(_SAMPLERS[n.op].layer.uniforms(n.shape[0], n.k)
                                      for n in drawn))
+    else:
+        rows = group = _pass_rows(("input", inputs), ("forced value for node", forced))[0]
+    # grouped input rows: a value with `group` rows serves `r` pass rows each
+    grouped = 1 < group < rows
+    r = rows // group
+    wide: dict[int, np.ndarray] = {}  # grouped values repeated to the pass's rows
+    fresh = None  # with `reuse`: the nodes some free stochastic node reaches
+    if reuse is not None:
+        if reuse.graph is not graph:
+            raise ValueError("reused trace is of another graph")
+        fresh = graph.liveness([i for i in graph.stochastic_ids if i not in forced],
+                               frozenset(), True)
 
     n = len(graph.nodes)
     values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -653,7 +687,15 @@ def forward(
         for node in graph.nodes:
             k = node.kind
             check = validate
-            if k == Kind.INPUT or k == Kind.PARAMETER:
+            if fresh is not None and not fresh[node.id]:
+                v = reuse.values[node.id]
+                if k == Kind.STOCHASTIC:  # forced, and pinned to the reused value
+                    layer = layers[node.id] = reuse.layers[node.id]
+                    if mode == Mode.STOCHASTIC:
+                        logprob += layer.log_prob(v, checked=True)
+                    barriers.add(node.id)
+                check = False
+            elif k == Kind.INPUT or k == Kind.PARAMETER:
                 v = inputs.get(node.id) if k == Kind.INPUT else params.get(node.id)
                 if v is None:
                     raise ValueError(f"unbound {k.name.lower()} {node.name or node.id!r}")
@@ -668,12 +710,27 @@ def forward(
                         params.finite.add(node.id)
                     check = False
             elif k == Kind.DETERMINISTIC:
-                v = _OPS[node.op].forward(node, values)
+                vals = values
+                if grouped and len(node.parents) > 1:
+                    lens = [len(values[q]) for q in node.parents]
+                    if group in lens and rows in lens:  # read the grouped parents repeated
+                        vals = list(values)
+                        for q, m in zip(node.parents, lens):
+                            if m == group:
+                                vals[q] = _widened(values, wide, q, r)
+                v = _OPS[node.op].forward(node, vals)
             elif k == Kind.STOCHASTIC:
                 # draws are 0/1, forced values are checked, and the mean of
                 # finite logits is finite: only bound values and ops overflow
                 check = False
-                layer = layers[node.id] = _SAMPLERS[node.op].layer(values[node.parents[0]], node.k)
+                cls, logits = _SAMPLERS[node.op].layer, values[node.parents[0]]
+                split = grouped and len(logits) == group
+                if split and node.id in forced:  # forced values have 1 or `rows` rows
+                    logits, split = _widened(values, wide, node.parents[0], r), False
+                # a grouped draw's layer is `[group, 1, width]`: each row's
+                # mean serves its r rows of uniforms; the trace keeps one
+                # over the widened logits
+                layer = layers[node.id] = cls(logits[:, None] if split else logits, node.k)
                 if node.id in forced:
                     try:
                         v = layer.validate(forced[node.id])
@@ -684,9 +741,14 @@ def forward(
                     barriers.add(node.id)
                 elif mode == Mode.STOCHASTIC:
                     take = layer.uniforms(node.shape[0], node.k)
-                    v = layer.sample(u[:, used : used + take])
+                    ut = u[:, used : used + take]
                     used += take
-                    logprob += layer.log_prob(v, checked=True)
+                    v = layer.sample(ut.reshape(group, r, take) if split else ut)
+                    lp = layer.log_prob(v, checked=True)
+                    if split:
+                        v, lp = v.reshape(rows, -1), lp.reshape(rows)
+                        layers[node.id] = cls(_widened(values, wide, node.parents[0], r), node.k)
+                    logprob += lp
                     barriers.add(node.id)
                 else:
                     v = layer.mean()
@@ -696,10 +758,23 @@ def forward(
 
             if check and not np.isfinite(v).all():
                 bad = ~np.isfinite(v).reshape(len(v), -1).all(axis=1)
-                raise NonFiniteError(node.id, int(np.argmax(bad)))
+                row = int(np.argmax(bad))
+                # a grouped value's row j first serves pass row j * r
+                raise NonFiniteError(node.id, row * r if grouped and len(v) == group else row)
             values[node.id] = v
 
-    return Trace(mode, values, layers, logprob, frozenset(barriers))
+    if grouped:
+        values = [_widened(values, wide, i, r) if len(v) == group else v
+                  for i, v in enumerate(values)]
+    return Trace(mode, values, layers, logprob, frozenset(barriers), graph)
+
+
+def _widened(values: list, wide: dict, q: int, r: int) -> np.ndarray:
+    """Grouped value `q` with each row repeated `r` times; made once per pass."""
+    v = wide.get(q)
+    if v is None:
+        v = wide[q] = np.repeat(values[q], r, axis=0)
+    return v
 
 
 # -- reverse mode --------------------------------------------------------------

@@ -220,9 +220,11 @@ def evaluate_nll(
     An example takes ceil(S / m) rounds of the pass, where m is the number
     of values one pass yields (the structured predictor's m stacks, else 1),
     and keeps its first S values. Round r of example i is one row (see
-    `graph` for rows), drawn from seed `rng.fold(seed, i, r)`; every
-    example x round runs as the rows of one stochastic pass per block of
-    consecutive rows, sized by `oracle._block_rows`.
+    `graph` for rows), drawn from seed `rng.fold(seed, i, r)`. A stochastic
+    pass holds as many whole examples as `oracle._block_rows` rows take,
+    each bound once as an input row that serves its rounds' rows (grouped
+    input rows, see `graph`); an example whose rounds exceed a block runs
+    them in near-equal passes of at most a block, with its input as one row.
     """
     graph = graph_or_model.graph if isinstance(graph_or_model, VariationalModel) else graph_or_model
     if n_samples < 1:
@@ -245,14 +247,20 @@ def evaluate_nll(
     if len(X) == 0:
         raise ValueError("empty evaluation set")
     rounds = -(-n_samples // len(reads))
-    count = len(X) * rounds
-    vals = np.empty((count, len(reads)))  # row i * rounds + r: example i, round r
+    vals = np.empty((len(X) * rounds, len(reads)))  # row i * rounds + r: example i, round r
     block = _oracle._block_rows(graph)
+    # each pass: examples lo..hi-1, each at the rounds in `rs`
+    if rounds <= block:  # whole examples
+        per = block // rounds
+        passes = [(lo, min(lo + per, len(X)), np.arange(rounds)) for lo in range(0, len(X), per)]
+    else:  # each example in near-equal parts of at most a block
+        passes = [(i, i + 1, rs) for i in range(len(X))
+                  for rs in np.array_split(np.arange(rounds), -(-rounds // block))]
     params = bind(graph, params)
-    for lo in range(0, count, block):
-        example, r = np.divmod(np.arange(lo, min(lo + block, count)), rounds)
-        tr = forward(graph, {k: v[example] for k, v in bound.items()}, params,
+    for lo, hi, rs in passes:
+        example, r = np.repeat(np.arange(lo, hi), len(rs)), np.tile(rs, hi - lo)
+        tr = forward(graph, {k: v[lo:hi] for k, v in bound.items()}, params,
                      mode=Mode.STOCHASTIC, rng_seed=_rng.fold(seed, example, r), validate=False)
-        vals[lo : lo + len(r)] = np.column_stack([tr.values[n] for n in reads])
+        vals[example * rounds + r] = np.column_stack([tr.values[n] for n in reads])
     vals = vals.reshape(len(X), rounds * len(reads))[:, :n_samples]
     return sum(reduce(vals)) / len(X)

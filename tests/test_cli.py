@@ -81,8 +81,10 @@ def test_config_file_layering(capsys, tmp_path):
     for stale in ({"bogus": 1}, {"arch": "4-2-4", "xbar": "1/k"}, {"idb_lr": 0.01},
                   {"binarization": "resample"}):
         cfgfile.write_text(json.dumps(stale))
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "train", "--dry-run", "--config", str(cfgfile))
+        assert exc.value.code == 2
+        assert "error: unknown config keys" in capsys.readouterr().err
 
 
 def test_train_command_runs_small_experiment(capsys, tmp_path):
@@ -145,10 +147,24 @@ def test_bad_arguments_exit_nonzero(capsys):
     ("--log-every", "-1", "log_every must be at least 0, got -1"),
     ("--eval-every", "-1", "eval_every must be at least 0, got -1"),
 ])
-def test_train_rejects_bad_counts_before_writing(tmp_path, flag, value, message):
+def test_train_rejects_bad_counts_before_writing(tmp_path, capsys, flag, value, message):
     out = tmp_path / "run"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SystemExit) as exc:
         main(["train", "--arch", "6-3-6", flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"muprop train: error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_an_unknown_config_key_as_a_usage_error(tmp_path, capsys):
+    config, out = tmp_path / "cfg.json", tmp_path / "run"
+    config.write_text(json.dumps({"arch": "6-3-6", "learning_rate": 0.1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(config), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: muprop train")
+    assert err.endswith("muprop train: error: unknown config keys ['learning_rate']\n")
     assert not out.exists()
 
 

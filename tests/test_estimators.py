@@ -340,8 +340,8 @@ def test_baselines_shift_only_the_score_term():
 
 @pytest.mark.parametrize("arch", ["8-4-4-8", "2x3-3x4-8"])
 def test_one_layer_and_at_most_one_mean_per_node_per_pass(arch, monkeypatch):
-    """One draw builds one layer per stochastic node per forward pass, and each
-    layer computes its mean (one sigmoid/softmax call) at most once."""
+    """One draw builds at most one layer per stochastic node per forward pass,
+    and each layer computes its mean (one sigmoid/softmax call) at most once."""
     if arch == "8-4-4-8":
         g = build_structured_predictor(arch)
         cost, inputs = g.meta["cost"], {"x": np.ones(8), "y": np.zeros(8)}
@@ -361,10 +361,11 @@ def test_one_layer_and_at_most_one_mean_per_node_per_pass(arch, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted("layers", cls.__init__))
     for name in ("sigmoid", "softmax"):
         monkeypatch.setattr(distributions, name, counted("means", getattr(distributions, name)))
-    # two stochastic nodes: passes x nodes layers; a node pinned in a
-    # muprop_rollout anchor pass never computes its mean
+    # two stochastic nodes: passes x nodes layers, but for the node pinned in
+    # muprop_rollout's second anchor pass, which reuses the stochastic pass's
+    # layer (`forward(reuse=...)`) and computes no mean
     want = {"lr": (2, 2), "st": (2, 2), "half": (2, 2), "muprop": (4, 4),
-            "muprop_rollout": (6, 5)}
+            "muprop_rollout": (5, 5)}
     assert sorted(want) == sorted(ESTIMATORS)
     for name in ESTIMATORS:
         counts.update(layers=0, means=0)

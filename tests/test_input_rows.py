@@ -1,5 +1,6 @@
-"""Examples as rows: rowed bound inputs, `evaluate_nll` over blocks of
-example x round rows, and the array form of `rng.fold`."""
+"""Examples as rows: rowed and grouped bound inputs, `evaluate_nll` over
+passes of whole examples, the reuse of a trace's values, and the array form
+of `rng.fold`."""
 import math
 import warnings
 
@@ -20,7 +21,8 @@ from muprop import (
 from muprop import models as models_mod
 from muprop import oracle as oracle_mod
 from muprop.data import synthetic_binary, synthetic_multimodal
-from muprop.graph import Kind
+from muprop.estimators import ESTIMATORS
+from muprop.graph import Kind, NonFiniteError, RowFactors, backward
 from muprop.numerics import log_mean_exp
 from muprop.oracle import sample_family
 from muprop.rng import fold
@@ -87,18 +89,29 @@ def test_evaluate_nll_matches_a_loop_of_one_row_passes(monkeypatch, arch, m, n, 
 
 
 def test_evaluate_nll_runs_one_pass_per_block(monkeypatch):
+    """Each pass holds whole examples, each bound as one input row serving its
+    rounds; an example whose rounds exceed a block splits into near-equal
+    passes. Seeds stay fold(seed, i, r) in example-then-round order."""
     model, graph, params, _X, _Y, data = eval_case("8-4-8", 1, 5)
-    calls = []
+    calls, seeds = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(len(kwargs["rng_seed"]))
-        return forward(*args, **kwargs)
+    def counting(graph, inputs, *args, **kwargs):
+        calls.append((len(inputs["x"]), len(kwargs["rng_seed"])))
+        seeds.extend(int(s) for s in kwargs["rng_seed"])
+        return forward(graph, inputs, *args, **kwargs)
 
     monkeypatch.setattr(models_mod, "forward", counting)
-    per_row = oracle_mod.BLOCK_ELEMENTS // oracle_mod._block_rows(graph)
-    monkeypatch.setattr(oracle_mod, "BLOCK_ELEMENTS", 8 * per_row)
-    evaluate_nll(model, params, data, n_samples=7, seed=1)
-    assert calls == [8, 8, 8, 8, 3]  # 35 rows: 5 examples x 7 rounds
+    want_seeds = [fold(1, i, r) for i in range(5) for r in range(7)]
+    # 35 rows: 5 examples x 7 rounds; (input rows, seeds) per pass
+    for block, want in ((8, [(1, 7)] * 5),  # one example per pass
+                        (16, [(2, 14), (2, 14), (1, 7)]),  # two examples share a pass
+                        (3, [(1, 3), (1, 2), (1, 2)] * 5)):  # each example splits
+        monkeypatch.setattr(oracle_mod, "_block_rows", lambda graph: block)
+        calls.clear()
+        seeds.clear()
+        evaluate_nll(model, params, data, n_samples=7, seed=1)
+        assert calls == want, block
+        assert seeds == want_seeds, block
 
 
 def value_entries(graph):
@@ -238,3 +251,156 @@ def test_array_fold_matches_the_scalar_fold():
     got = fold(5, 33, i, r)
     assert [int(v) for v in got] == [fold(5, 33, int(a), int(b)) for a, b in zip(i, r)]
     assert fold(5, i[:, None], LABELS[None, :]).shape == (12, len(LABELS))
+
+
+K, R = 3, 4  # grouped passes: K input rows, each serving R seeds' rows
+GROUPED_CASES = [f"family{s}" for s in range(10)] + ["8-4-8", "2x3-3x4-8"]
+
+
+def grouped_case(name):
+    """(graph, params, K-row inputs, cost) of a sampled family or a model."""
+    if name.startswith("family"):
+        fam = sample_family(int(name[len("family"):]))
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, (K,) + fam.inputs["x"].shape)
+        return fam.graph, fam.params, {"x": x}, fam.cost
+    _model, graph, params, X, Y, _data = eval_case(name, 1 if name == "8-4-8" else None, K)
+    return graph, params, ({"x": X} if Y is None else {"x": X, "y": Y}), graph.meta["cost"]
+
+
+def grouped_seeds():
+    return [fold(8, j, t) for j in range(K) for t in range(R)]
+
+
+@pytest.mark.parametrize("name", GROUPED_CASES)
+def test_grouped_input_rows_match_one_row_passes(name):
+    """K input rows with K * R seeds compute, row for row and bit for bit,
+    what K passes of one example with R seeds each compute. Each reference
+    binds its example's row R times, so its products are many-row products
+    like the grouped pass's; a pass that binds the row once runs its first
+    product through BLAS's matrix-vector kernel, which sums in another order,
+    and is matched to `REL_TOL` (draws exactly)."""
+    graph, params, inputs, _cost = grouped_case(name)
+    seeds = grouped_seeds()
+    got = forward(graph, inputs, params, rng_seed=seeds)
+    assert got.logprob.shape == (K * R,)
+    for j in range(K):
+        rows = slice(j * R, (j + 1) * R)
+        one = forward(graph, {key: np.repeat(v[j : j + 1], R, axis=0) for key, v in inputs.items()},
+                      params, rng_seed=seeds[rows])
+        single = forward(graph, {key: v[j] for key, v in inputs.items()}, params,
+                         rng_seed=seeds[rows])
+        assert np.array_equal(got.logprob[rows], one.logprob), j
+        np.testing.assert_allclose(got.logprob[rows], single.logprob, rtol=REL_TOL)
+        for nid, (v, ref) in enumerate(zip(got.values, one.values)):
+            assert len(v) in (1, K * R), nid  # no grouped value leaves the pass
+            if len(v) == 1:
+                assert np.array_equal(v, ref), nid
+            else:
+                assert np.array_equal(v[rows], np.broadcast_to(ref, (R,) + ref.shape[1:])), (nid, j)
+        for sid in graph.stochastic_ids:  # the draws, and the layers the trace keeps
+            assert np.array_equal(got.values[sid][rows], one.values[sid]), (sid, j)
+            assert np.array_equal(got.values[sid][rows], single.values[sid]), (sid, j)
+            mean, ref = got.layers[sid].mean(), one.layers[sid].mean()
+            assert len(mean) == K * R
+            assert np.array_equal(mean[rows], ref), (sid, j)
+
+
+def adjoints_equal(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, RowFactors):
+        a, b = a.dense(), b.dense()
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["family3", "family6", "8-4-8", "2x3-3x4-8"])
+def test_backward_reads_a_grouped_trace_as_its_widened_pass(name):
+    graph, params, inputs, cost = grouped_case(name)
+    seeds = grouped_seeds()
+    grouped = forward(graph, inputs, params, rng_seed=seeds)
+    wide = forward(graph, {key: np.repeat(v, R, axis=0) for key, v in inputs.items()}, params,
+                   rng_seed=seeds)
+    straight_through = dict(stochastic_vjp=lambda layer, x, a: layer.mean_vjp(a))
+    for sweep in ({}, straight_through, {"per_row": True}):
+        got = backward(graph, grouped, {cost: np.ones(())}, **sweep)
+        want = backward(graph, wide, {cost: np.ones(())}, **sweep)
+        for nid, (a, b) in enumerate(zip(got, want)):
+            assert adjoints_equal(a, b), (nid, sweep)
+
+
+def test_forced_values_beside_grouped_inputs_read_them_widened():
+    """A forced node keeps 1 or K * R rows; its grouped logits are read
+    repeated, and the pass equals the one with widened inputs."""
+    graph = build_structured_predictor("8-4-4-8")
+    params = init_params(graph, 1)
+    rng = np.random.default_rng(3)
+    inputs = {"x": rng.random((K, 8)), "y": (rng.random((K, 8)) < 0.5) * 1.0}
+    wide = {key: np.repeat(v, R, axis=0) for key, v in inputs.items()}
+    first, second = graph.stochastic_ids
+    block = (rng.random((K * R, 4)) < 0.5) * 1.0
+    for forced in ({first: block}, {second: block}, {second: np.ones(4)}):
+        got = forward(graph, inputs, params, rng_seed=grouped_seeds(), forced=forced)
+        want = forward(graph, wide, params, rng_seed=grouped_seeds(), forced=forced)
+        assert np.array_equal(got.logprob, want.logprob)
+        for nid, (v, ref) in enumerate(zip(got.values, want.values)):
+            assert np.array_equal(v, ref), (nid, sorted(forced))
+
+
+def test_a_non_finite_grouped_input_row_is_named_at_its_first_pass_row():
+    graph, params, inputs, _cost = grouped_case("8-4-8")
+    for j in range(K):
+        x = inputs["x"].copy()
+        x[j, 2] = np.nan
+        with pytest.raises(NonFiniteError, match=f"node {graph.node_id('x')} in row {j * R}$"):
+            forward(graph, dict(inputs, x=x), params, rng_seed=grouped_seeds())
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_estimate_rejects_grouped_inputs(name):
+    graph, params, inputs, cost = grouped_case("8-4-8")
+    with pytest.raises(ValueError, match=f"input {graph.node_id('x')} has {K} rows for "
+                                         f"{K * R} seeds"):
+        estimate(EstimatorConfig(name), graph, cost, inputs, params, rng_seed=grouped_seeds())
+
+
+def reached_from(graph, free):
+    """The nodes that some node in `free` reaches, itself included."""
+    reached = set(free)
+    for node in graph.nodes:
+        if any(p in reached for p in node.parents):
+            reached.add(node.id)
+    return reached
+
+
+@pytest.mark.parametrize("arch", ["8-4-4-8", "2x3-3x4-8"])
+def test_reuse_hands_out_the_values_no_free_node_reaches(arch):
+    """A reusing pass takes the reused trace's very arrays (and a pinned
+    node's layer) where no free stochastic node reaches, and computes the
+    rest as a pass without `reuse` does."""
+    if arch.startswith("8"):
+        graph = build_structured_predictor(arch)
+        inputs = {"x": np.ones(8), "y": np.zeros(8)}
+    else:
+        graph = build_sbn_variational(arch).graph
+        inputs = {"x": np.ones(8)}
+    params = init_params(graph, 1)
+    st = forward(graph, inputs, params, rng_seed=[fold(2, t) for t in range(R)])
+    sids = graph.stochastic_ids
+    for pinned in ([], sids[:1], sids):
+        forced = {sid: st.values[sid] for sid in pinned}
+        reached = reached_from(graph, [s for s in sids if s not in pinned])
+        got = forward(graph, inputs, params, Mode.MEAN_FIELD, forced=forced, reuse=st)
+        plain = forward(graph, inputs, params, Mode.MEAN_FIELD, forced=forced)
+        assert got.barriers == plain.barriers == frozenset(pinned)
+        for nid, v in enumerate(got.values):
+            if nid in reached:
+                assert v is not st.values[nid], (nid, pinned)
+                assert np.array_equal(v, plain.values[nid]), (nid, pinned)
+            else:
+                assert v is st.values[nid], (nid, pinned)
+        for sid in sids:
+            assert (got.layers[sid] is st.layers[sid]) == (sid in pinned), (sid, pinned)
+    other = build_structured_predictor("8-4-4-8")
+    with pytest.raises(ValueError, match="reused trace is of another graph"):
+        forward(other, {"x": np.ones(8), "y": np.zeros(8)}, init_params(other, 1),
+                Mode.MEAN_FIELD, reuse=st)
